@@ -3,7 +3,7 @@
 // Usage:
 //
 //	experiments [-seed N] [-scale smoke|quick|full] [-j N] [-audit] [-chaos]
-//	            [-telemetry] [-metrics-out BASE]
+//	            [-telemetry] [-heapprof] [-metrics-out BASE]
 //	            [-design POINTS] [-design-out BASE] [all|<name>...]
 //
 // Names are fig3..fig17, table1, table2, combined, ablation-l,
@@ -12,7 +12,7 @@
 //
 // -j bounds the worker pool that experiments fan out over (machines in
 // fleet A/Bs, profiles in benchmark sweeps, the experiments themselves);
-// the default is all cores, -j 1 is the sequential legacy path, and the
+// the default is all cores, -j 1 is the sequential path, and the
 // output is bit-identical at any -j for the same seed.
 //
 // -audit runs every profile under the full shadow-heap sanitizer with
@@ -25,7 +25,8 @@
 // -metrics-out writes BASE.prom, BASE.json and BASE.mallocz instead.
 // -heapprof additionally attaches the sampled heap profiler to every
 // profile-driven run and dumps the merged heapz/allocz/peakheapz views
-// (BASE.heapz and BASE.heapz.json with -metrics-out).
+// (BASE.heapz and BASE.heapz.json with -metrics-out). Flags shared with
+// the other run binaries live in internal/cli.
 //
 // -design selects the points swept by the "designspace" experiment as a
 // semicolon-separated list of design-point strings
@@ -35,149 +36,111 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strings"
 
 	"wsmalloc"
+	"wsmalloc/internal/cli"
 )
 
-func main() {
-	seed := flag.Uint64("seed", 1, "deterministic simulation seed")
-	scaleName := flag.String("scale", "quick", "experiment scale: smoke, quick, or full")
-	workers := flag.Int("j", 0, "worker pool size for parallel execution (0 = all cores, 1 = sequential)")
-	audit := flag.Bool("audit", false, "run profiles under the shadow-heap sanitizer with periodic invariant audits")
-	chaos := flag.Bool("chaos", false, "inject a deterministic mmap failure rate into every profile run")
-	telemetryOn := flag.Bool("telemetry", false, "instrument every profile run and dump the aggregate metrics registry")
-	heapprofOn := flag.Bool("heapprof", false, "attach the sampled heap profiler to every profile run and dump the merged views")
-	metricsOut := flag.String("metrics-out", "", "write aggregated telemetry to BASE.prom, BASE.json and BASE.mallocz (implies -telemetry)")
-	design := flag.String("design", "", "semicolon-separated design points for the designspace sweep (default: full registry grid)")
-	designOut := flag.String("design-out", "", "write the designspace leaderboard to BASE.json and BASE.csv")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	wsmalloc.SetHardening(wsmalloc.Hardening{Audit: *audit, Chaos: *chaos})
-	wsmalloc.SetExperimentWorkers(*workers)
-	if *metricsOut != "" {
-		*telemetryOn = true
+// command is the experiments command line, every flag bound onto the
+// value it sets.
+type command struct {
+	*cli.Flags
+	tel       wsmalloc.TelemetryConfig
+	hp        wsmalloc.HeapProfileConfig
+	hardening wsmalloc.Hardening
+	seed      uint64
+	workers   int
+	scale     string
+	design    string
+	designOut string
+}
+
+func newCommand(stderr io.Writer) *command {
+	c := &command{Flags: cli.New("experiments", stderr)}
+	c.Seed(&c.seed)
+	c.StringVar(&c.scale, "scale", "quick", "experiment scale: smoke, quick, or full")
+	c.Workers(&c.workers)
+	c.BoolVar(&c.hardening.Audit, "audit", false, "run profiles under the shadow-heap sanitizer with periodic invariant audits")
+	c.BoolVar(&c.hardening.Chaos, "chaos", false, "inject a deterministic mmap failure rate into every profile run")
+	c.Exports(&c.tel, &c.hp)
+	c.StringVar(&c.design, "design", "", "semicolon-separated design points for the designspace sweep (default: full registry grid)")
+	c.StringVar(&c.designOut, "design-out", "", "write the designspace leaderboard to BASE.json and BASE.csv")
+	return c
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	c := newCommand(stderr)
+	if code, ok := c.Parse(args); !ok {
+		return code
 	}
-	if *telemetryOn {
-		// Registries merge commutatively across the worker pool; traces
-		// do not, so only the mergeable metrics are aggregated.
-		wsmalloc.SetExperimentTelemetry(wsmalloc.TelemetryConfig{Enabled: true})
-	}
-	if *heapprofOn {
-		hcfg := wsmalloc.DefaultHeapProfileConfig()
-		hcfg.Seed = *seed
-		wsmalloc.SetExperimentHeapProfile(hcfg)
-	}
-	if *design != "" || *designOut != "" {
+	wsmalloc.SetHardening(c.hardening)
+	wsmalloc.SetExperimentWorkers(c.workers)
+	// Registries merge commutatively across the worker pool; traces do
+	// not, so only the mergeable metrics are aggregated.
+	wsmalloc.SetExperimentTelemetry(c.tel)
+	wsmalloc.SetExperimentHeapProfile(c.hp)
+	if c.design != "" || c.designOut != "" {
 		var points []wsmalloc.DesignPoint
-		if *design != "" {
-			for _, s := range strings.Split(*design, ";") {
+		if c.design != "" {
+			for _, s := range strings.Split(c.design, ";") {
 				d, err := wsmalloc.ParseDesignPoint(strings.TrimSpace(s))
 				if err != nil {
-					fmt.Fprintf(os.Stderr, "-design: %v\n", err)
-					os.Exit(2)
+					return cli.Usage(stderr, "-design: %v", err)
 				}
 				points = append(points, d)
 			}
 		}
-		wsmalloc.SetDesignSpace(points, *designOut)
+		wsmalloc.SetDesignSpace(points, c.designOut)
+	}
+	scale, ok := map[string]wsmalloc.Scale{
+		"smoke": wsmalloc.ScaleSmoke, "quick": wsmalloc.ScaleQuick, "full": wsmalloc.ScaleFull,
+	}[c.scale]
+	if !ok {
+		return cli.Usage(stderr, "unknown scale %q", c.scale)
 	}
 
-	var scale wsmalloc.Scale
-	switch *scaleName {
-	case "smoke":
-		scale = wsmalloc.ScaleSmoke
-	case "quick":
-		scale = wsmalloc.ScaleQuick
-	case "full":
-		scale = wsmalloc.ScaleFull
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scaleName)
-		os.Exit(2)
-	}
-
-	args := flag.Args()
-	if len(args) == 0 {
-		fmt.Println("available experiments (pass names or 'all'):")
+	names := c.Args()
+	if len(names) == 0 {
+		fmt.Fprintln(stdout, "available experiments (pass names or 'all'):")
 		for _, r := range wsmalloc.Experiments() {
-			fmt.Printf("  %-18s %s\n", r.Name, r.Desc)
+			fmt.Fprintf(stdout, "  %-18s %s\n", r.Name, r.Desc)
 		}
-		return
+		return 0
 	}
-
-	var names []string
-	if len(args) == 1 && args[0] == "all" {
+	if len(names) == 1 && names[0] == "all" {
+		names = nil
 		for _, r := range wsmalloc.Experiments() {
 			names = append(names, r.Name)
 		}
-	} else {
-		names = args
 	}
-
-	reports, err := wsmalloc.RunExperiments(names, *seed, scale)
+	reports, err := wsmalloc.RunExperiments(names, c.seed, scale)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return cli.Usage(stderr, "%v", err)
 	}
 	failed := false
 	for _, rep := range reports {
-		fmt.Println(rep)
-		if rep.Failed {
-			failed = true
-		}
+		fmt.Fprintln(stdout, rep)
+		failed = failed || rep.Failed
 	}
 	if trips := wsmalloc.AuditTrips(); trips > 0 {
-		fmt.Fprintf(os.Stderr, "audit: %d run(s) ended with invariant violations\n", trips)
+		fmt.Fprintf(stderr, "audit: %d run(s) ended with invariant violations\n", trips)
 		failed = true
 	}
+	x := cli.Exports{Profiles: wsmalloc.ExperimentHeapProfiles(), Tight: true}
 	if reg := wsmalloc.ExperimentTelemetry(); reg != nil {
-		snaps := []wsmalloc.TelemetrySnapshot{reg.Snapshot("experiments", 0)}
-		if *metricsOut != "" {
-			paths, err := wsmalloc.WriteTelemetryFiles(*metricsOut, snaps, nil, wsmalloc.TraceDump{})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "write telemetry: %v\n", err)
-				os.Exit(1)
-			}
-			for _, p := range paths {
-				fmt.Printf("wrote %s\n", p)
-			}
-		} else if err := wsmalloc.WriteTelemetryMallocz(os.Stdout, snaps...); err != nil {
-			fmt.Fprintf(os.Stderr, "mallocz: %v\n", err)
-			os.Exit(1)
-		}
+		x.Snapshots = []wsmalloc.TelemetrySnapshot{reg.Snapshot("experiments", 0)}
 	}
-	if profiles := wsmalloc.ExperimentHeapProfiles(); len(profiles) > 0 {
-		if *metricsOut != "" {
-			for _, out := range []struct {
-				path  string
-				write func(w io.Writer) error
-			}{
-				{*metricsOut + ".heapz", func(w io.Writer) error { return wsmalloc.WriteHeapProfiles(w, profiles...) }},
-				{*metricsOut + ".heapz.json", func(w io.Writer) error { return wsmalloc.WriteHeapProfilesJSON(w, profiles...) }},
-			} {
-				fl, err := os.Create(out.path)
-				if err == nil {
-					err = out.write(fl)
-					if cerr := fl.Close(); err == nil {
-						err = cerr
-					}
-				}
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "write %s: %v\n", out.path, err)
-					os.Exit(1)
-				}
-				fmt.Printf("wrote %s\n", out.path)
-			}
-		} else if err := wsmalloc.WriteHeapProfiles(os.Stdout, profiles...); err != nil {
-			fmt.Fprintf(os.Stderr, "heapz: %v\n", err)
-			os.Exit(1)
-		}
+	if err := c.WriteExports(stdout, x); err != nil {
+		return cli.Exit(stderr, err)
 	}
 	if failed {
-		os.Exit(1)
+		return cli.ExitFailure
 	}
+	return 0
 }

@@ -4,16 +4,19 @@
 //
 // Usage:
 //
-//	fleet-ab [-machines 400] [-feature all|<name>] [-seed 1]
+//	fleet-ab [-machines 400] [-feature all|<name>] [-design POINT] [-seed 1]
 //	         [-duration-ms 250] [-sample 0.01] [-j N]
 //	         [-chaos-mmap-rate 0] [-chaos-budget-mb 0] [-audit-every-ms 0]
 //	         [-telemetry] [-heapprof] [-metrics-out BASE] [-serve :8080]
 //	         [-checkpoint-dir DIR] [-checkpoint-every-ms N] [-resume]
 //	         [-kill-frac 0.5] [-churn 0.1] [-restart-on-oom] [-retries 3]
+//	         [-retune-design POINT -retune-at-ms N] [-gwp-dir DIR]
 //	         [-bench-sweep 1,2,4,max] [-bench-out BENCH_fleet.json]
 //
+// Flags shared with the other run binaries live in internal/cli.
+//
 // -j bounds how many enrolled machines are simulated concurrently
-// (default: all cores; -j 1 is the sequential legacy path). Results are
+// (default: all cores; -j 1 is the sequential path). Results are
 // bit-identical at any -j for the same seed.
 //
 // The chaos flags install a deterministic per-machine fault plan in every
@@ -35,28 +38,30 @@
 // The lifecycle flags make the run crash-tolerant. -checkpoint-dir
 // snapshots every machine's full state (workload cursor, clock, all
 // cache tiers, fault/telemetry accumulators) at the -checkpoint-every-ms
-// virtual cadence; -kill-frac stops the whole run at that fraction of
-// virtual time after a final checkpoint and exits with code 3; a second
-// invocation with -resume finishes the run with exports byte-identical
-// to one that was never interrupted, at any -j. -churn kills a seeded
-// fraction of machines once mid-run and restarts them cold; a restarted
-// machine loses its heap and caches but keeps its workload position.
-// -restart-on-oom does the same when an allocation fails (pair with
-// -chaos-budget-mb for deterministic OOM kills). -retries re-runs a
-// failed machine with capped exponential backoff, resuming from its
-// checkpoint.
+// virtual cadence; -kill-frac, in (0,1), stops the whole run at that
+// fraction of virtual time after a final checkpoint and exits with code
+// 3; a second invocation with -resume finishes the run with exports
+// byte-identical to one that was never interrupted, at any -j. -churn
+// kills a seeded fraction of machines once mid-run and restarts them
+// cold; a restarted machine loses its heap and caches but keeps its
+// workload position. -restart-on-oom does the same when an allocation
+// fails (pair with -chaos-budget-mb for deterministic OOM kills).
+// -retries re-runs a failed machine with capped exponential backoff,
+// resuming from its checkpoint.
 //
 // -bench-sweep benchmarks the execution engine instead of printing
 // tables: it runs the same A/B once per listed -j value ("max" = all
 // cores), verifies each parallel result is bit-identical to -j 1, and
 // writes machines/sec plus speedup-vs-j1 to -bench-out as JSON
 // (scripts/bench_fleet.sh wraps this).
+//
+// Exit codes: 0 success, 1 failure (including audit violations), 2 bad
+// flags, 3 a -kill-frac halt to resume.
 package main
 
 import (
 	"encoding/json"
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -65,10 +70,201 @@ import (
 	"strings"
 	"time"
 
-	"wsmalloc"
+	"wsmalloc/internal/cli"
+	"wsmalloc/internal/core"
+	"wsmalloc/internal/fleet"
 	"wsmalloc/internal/gwp"
-	"wsmalloc/internal/profiling"
+	"wsmalloc/internal/heapprof"
+	"wsmalloc/internal/policy"
+	"wsmalloc/internal/telemetry"
 )
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// command is fleet-ab's command line, every flag bound onto the value
+// it sets.
+type command struct {
+	*cli.Flags
+	opts       fleet.ABOptions
+	experiment core.Config
+	design     *cli.Design
+	seed       uint64
+	machines   int
+	gwpDir     string
+	benchSweep string
+	benchOut   string
+}
+
+func newCommand(stderr io.Writer) *command {
+	c := &command{Flags: cli.New("fleet-ab", stderr), opts: fleet.DefaultABOptions(), experiment: core.BaselineConfig()}
+	o := &c.opts
+	c.IntVar(&c.machines, "machines", 400, "fleet size")
+	c.design = c.Design(&c.experiment, "feature", "all", "experiment arm (the control arm stays baseline): "+
+		"all (full redesign) or one of: heterogeneous-percpu-cache, nuca-transfer-cache, span-prioritization, lifetime-aware-filler",
+		map[string]policy.DesignPoint{"all": policy.Optimized()})
+	c.Seed(&c.seed)
+	c.Duration(&o.DurationNs, 250)
+	c.Sample(&o.SampleFraction, 0.01)
+	c.Workers(&o.Workers)
+	c.Float64Var(&o.Chaos.MmapFailureRate, "chaos-mmap-rate", 0, "injected mmap failure probability per MapHuge (0 disables)")
+	cli.MiB(c.FlagSet, &o.Chaos.MappedBytesBudget, "chaos-budget-mb", 0, "per-machine committed-byte budget in `MiB` (0 = unlimited)")
+	cli.Millis(c.FlagSet, &o.AuditEveryNs, "audit-every-ms", 0, "virtual cadence of invariant audits in `ms` (0 disables)")
+	c.Exports(&o.Telemetry, &o.HeapProfile)
+	c.HeapProfInterval(&o.HeapProfile)
+	c.Serve()
+	c.StringVar(&c.gwpDir, "gwp-dir", "", "write both arms into a gwp profile warehouse at this directory (raw-00000000=control, raw-00000001=experiment; needs -heapprof)")
+	c.Checkpoint(&o.Checkpoint)
+	c.Churn(&o.Churn)
+	c.RestartOnOOM(&o.RestartOnOOM)
+	c.IntVar(&o.Retry.MaxAttempts, "retries", 1, "max attempts per machine run; retries resume from the machine's checkpoint")
+	c.Retune(&o.RetuneAtNs, &o.RetuneDesign)
+	c.StringVar(&c.benchSweep, "bench-sweep", "", "comma-separated -j values to benchmark (e.g. 1,2,4,max); writes JSON and exits")
+	c.StringVar(&c.benchOut, "bench-out", "BENCH_fleet.json", "benchmark JSON output path (with -bench-sweep)")
+	c.Profiling()
+	return c
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	c := newCommand(stderr)
+	if code, ok := c.Parse(args); !ok {
+		return code
+	}
+	if c.gwpDir != "" && !c.opts.HeapProfile.Enabled {
+		return cli.Usage(stderr, "-gwp-dir needs -heapprof")
+	}
+	stop, err := c.StartProfiling()
+	if err != nil {
+		return cli.Usage(stderr, "%v", err)
+	}
+	defer stop()
+
+	opts := &c.opts
+	opts.Chaos.Seed = c.seed ^ 0xc4a05c4a
+	opts.Retry.BaseDelay, opts.Retry.MaxDelay = 250*time.Millisecond, 5*time.Second
+	// Both arms carry their full design-point strings into the merged
+	// telemetry and heap-profile exports, so profdiff and dashboards can
+	// identify an arm without knowing which -feature/-design spawned it.
+	opts.ControlDesign = policy.Baseline().String()
+	opts.ExperimentDesign = c.design.Point.String()
+	f := fleet.New(c.machines, c.seed)
+	control := core.BaselineConfig()
+
+	if c.benchSweep != "" {
+		js, err := parseSweep(c.benchSweep)
+		if err != nil {
+			return cli.Usage(stderr, "%v", err)
+		}
+		ok, err := runBench(stdout, f, control, c.experiment, *opts, js, c.benchOut, c.seed)
+		if err == nil && !ok {
+			err = errors.New("bench: parallel result diverged from -j 1")
+		}
+		return cli.Exit(stderr, err)
+	}
+
+	armDesc := "feature=" + c.design.Named
+	if c.design.Override {
+		armDesc = "design=" + c.design.Point.String()
+	}
+	fmt.Fprintf(stdout, "fleet A/B: %d machines, %s, %.1f%% sampled, %dms virtual each\n",
+		c.machines, armDesc, opts.SampleFraction*100, opts.DurationNs/1e6)
+	fmt.Fprintf(stdout, "  control    %s\n  experiment %s\n", opts.ControlDesign, opts.ExperimentDesign)
+	res, err := f.ABTestErr(control, c.experiment, *opts)
+	if errors.Is(err, fleet.ErrHalted) {
+		// Scheduled kill: every machine checkpointed. Exit code 3 so
+		// wrappers can distinguish "resume me" from a real failure.
+		fmt.Fprintln(stdout, err)
+		return cli.ExitHalted
+	}
+	if err != nil {
+		return cli.Exit(stderr, err)
+	}
+	fmt.Fprintln(stdout, res.Fleet.String())
+	for _, row := range res.PerApp {
+		fmt.Fprintln(stdout, row.String())
+	}
+	ch := res.Chaos
+	if lc := ch.Lifecycle; lc.ChurnKills+lc.OOMKills+lc.Restarts > 0 {
+		fmt.Fprintf(stdout, "lifecycle: %d churn kills, %d OOM kills, %d restarts\n",
+			lc.ChurnKills, lc.OOMKills, lc.Restarts)
+	}
+	if opts.Chaos.Enabled() {
+		fmt.Fprintf(stdout, "chaos: %d mmap failures + %d budget rejections injected; %d OOMs, %d ops dropped, %d pressure releases (%d MiB returned)\n",
+			ch.InjectedFailures, ch.BudgetFailures, ch.OOMErrors, ch.AllocFailures,
+			ch.PressureEvents, ch.PressureReleasedBytes>>20)
+	}
+	if opts.AuditEveryNs > 0 {
+		fmt.Fprintf(stdout, "audit: %d runs, %d violations\n", ch.Audits, ch.Violations)
+		if ch.Violations > 0 {
+			return cli.ExitFailure
+		}
+	}
+
+	// Both arms' merged profiles in one export, control first, so
+	// profdiff can split them by label.
+	x := cli.Exports{Snapshots: res.Telemetry.Snapshots(opts.DurationNs)}
+	if res.HeapProfiles != nil {
+		x.Profiles = append(append(x.Profiles, res.HeapProfiles.Control...), res.HeapProfiles.Experiment...)
+	}
+	if err := c.WriteExports(stdout, x); err != nil {
+		return cli.Exit(stderr, err)
+	}
+	if c.gwpDir != "" && res.HeapProfiles != nil {
+		if err := writeWarehouse(c, res); err != nil {
+			return cli.Exit(stderr, err)
+		}
+		fmt.Fprintf(stdout, "wrote gwp warehouse %s (raw-00000000=control, raw-00000001=experiment)\n", c.gwpDir)
+	}
+	if c.ServeAddr == "" {
+		return 0
+	}
+	// /statusz identifies the finished A/B run this one-shot server is
+	// exposing.
+	return cli.Exit(stderr, c.ServeRun(stdout, "fleet-ab", x, map[string]any{
+		"arm":         armDesc,
+		"machines":    c.machines,
+		"sample":      opts.SampleFraction,
+		"seed":        c.seed,
+		"duration_ms": opts.DurationNs / 1e6,
+		"arms":        len(x.Snapshots),
+	}, telemetry.Endpoints{}))
+}
+
+// writeWarehouse writes one gwp warehouse window per arm, so gwpquery
+// answers CDF, frag and window-vs-window profdiff queries over a
+// standalone fleet run with the same tooling the daemon's continuous
+// collection feeds.
+func writeWarehouse(c *command, res fleet.ABResult) error {
+	opts := c.opts
+	fp := fmt.Sprintf("fleet-ab seed=%#x machines=%d sample=%g duration=%d control=%q experiment=%q",
+		c.seed, c.machines, opts.SampleFraction, opts.DurationNs, opts.ControlDesign, opts.ExperimentDesign)
+	wh, err := gwp.Open(c.gwpDir, fp, gwp.DefaultRetention(), false)
+	if err != nil {
+		return err
+	}
+	for _, arm := range []struct {
+		idx    int64
+		design string
+		prof   []heapprof.Profile
+		frag   core.FragZ
+	}{
+		{0, opts.ControlDesign, res.HeapProfiles.Control, res.Frag.Control},
+		{1, opts.ExperimentDesign, res.HeapProfiles.Experiment, res.Frag.Experiment},
+	} {
+		win := &gwp.Window{
+			Meta: gwp.WindowMeta{
+				ID: gwp.WindowID(gwp.TierRaw, arm.idx), Tier: gwp.TierRaw, Index: arm.idx,
+				EndNs: opts.DurationNs, Design: arm.design,
+				Machines: res.Fleet.Machines, Sources: 1,
+			},
+			Frag:     arm.frag,
+			Profiles: arm.prof,
+		}
+		if err := wh.Append(win); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // benchEntry is one sweep point of the engine benchmark.
 type benchEntry struct {
@@ -99,54 +295,48 @@ type benchDoc struct {
 // identical even though the registries and profile slices live at
 // different addresses — so -bench-sweep exercises exactly the
 // instrumentation the real experiment would run with.
-func fingerprint(res wsmalloc.ABResult, nowNs int64) string {
+func fingerprint(res fleet.ABResult, nowNs int64) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%#v\n%#v\n%#v\n", res.Fleet, res.PerApp, res.Chaos)
 	if res.Telemetry != nil {
-		_ = wsmalloc.WriteTelemetryPrometheus(&b, res.Telemetry.Snapshots(nowNs)...)
+		_ = telemetry.WritePrometheus(&b, res.Telemetry.Snapshots(nowNs)...)
 	}
 	if res.HeapProfiles != nil {
-		_ = wsmalloc.WriteHeapProfiles(&b, res.HeapProfiles.Control...)
-		_ = wsmalloc.WriteHeapProfiles(&b, res.HeapProfiles.Experiment...)
+		_ = heapprof.WriteText(&b, res.HeapProfiles.Control...)
+		_ = heapprof.WriteText(&b, res.HeapProfiles.Experiment...)
 	}
 	return b.String()
 }
 
-// runBench sweeps -j over the same experiment, checks bit-identical
-// results against -j 1, and writes the JSON report. Returns false if any
-// parallel result diverged from the sequential one.
-func runBench(f *wsmalloc.Fleet, control, experiment wsmalloc.Config, opts wsmalloc.ABOptions,
-	sweep string, out string, seed uint64) bool {
-	var js []int
+// parseSweep reads the -bench-sweep list: distinct worker counts, led
+// by 1 because speedups are measured against -j 1.
+func parseSweep(sweep string) ([]int, error) {
+	js := []int{1}
+	seen := map[int]bool{1: true}
 	for _, tok := range strings.Split(sweep, ",") {
 		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
-		if tok == "max" {
-			js = append(js, runtime.NumCPU())
-			continue
-		}
 		j, err := strconv.Atoi(tok)
-		if err != nil || j < 1 {
-			fmt.Fprintf(os.Stderr, "bad -bench-sweep entry %q\n", tok)
-			os.Exit(2)
+		switch {
+		case tok == "":
+			continue
+		case tok == "max":
+			j = runtime.NumCPU()
+		case err != nil || j < 1:
+			return nil, fmt.Errorf("bad -bench-sweep entry %q", tok)
 		}
-		js = append(js, j)
-	}
-	if len(js) == 0 || js[0] != 1 {
-		js = append([]int{1}, js...) // speedups are measured against -j 1
-	}
-	seen := map[int]bool{}
-	uniq := js[:0]
-	for _, j := range js {
 		if !seen[j] {
 			seen[j] = true
-			uniq = append(uniq, j)
+			js = append(js, j)
 		}
 	}
-	js = uniq
+	return js, nil
+}
 
+// runBench runs the same experiment once per worker count, checks each
+// result is bit-identical to -j 1's, and writes the JSON report. It
+// returns false if any parallel result diverged from the sequential one.
+func runBench(stdout io.Writer, f *fleet.Fleet, control, experiment core.Config, opts fleet.ABOptions,
+	js []int, out string, seed uint64) (bool, error) {
 	doc := benchDoc{
 		Benchmark:         "fleet-ab",
 		FleetMachines:     len(f.Machines),
@@ -164,7 +354,7 @@ func runBench(f *wsmalloc.Fleet, control, experiment wsmalloc.Config, opts wsmal
 		res := f.ABTest(control, experiment, opts)
 		wall := time.Since(start)
 		fp := fingerprint(res, opts.DurationNs)
-		if j == 1 && baseline == "" {
+		if j == 1 {
 			baseline = fp
 			baseWall = wall.Seconds()
 		}
@@ -176,11 +366,9 @@ func runBench(f *wsmalloc.Fleet, control, experiment wsmalloc.Config, opts wsmal
 			SpeedupVsJ1:    baseWall / wall.Seconds(),
 			IdenticalToJ1:  fp == baseline,
 		}
-		if !e.IdenticalToJ1 {
-			ok = false
-		}
+		ok = ok && e.IdenticalToJ1
 		doc.Sweep = append(doc.Sweep, e)
-		fmt.Printf("-j %-3d %8.1f ms  %7.1f machines/s  speedup %.2fx  identical=%v\n",
+		fmt.Fprintf(stdout, "-j %-3d %8.1f ms  %7.1f machines/s  speedup %.2fx  identical=%v\n",
 			e.J, e.WallMs, e.MachinesPerSec, e.SpeedupVsJ1, e.IdenticalToJ1)
 	}
 
@@ -189,336 +377,8 @@ func runBench(f *wsmalloc.Fleet, control, experiment wsmalloc.Config, opts wsmal
 		err = os.WriteFile(out, append(data, '\n'), 0o644)
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "write %s: %v\n", out, err)
-		os.Exit(1)
+		return false, fmt.Errorf("write %s: %w", out, err)
 	}
-	fmt.Printf("wrote %s\n", out)
-	return ok
-}
-
-func main() {
-	machines := flag.Int("machines", 400, "fleet size")
-	feature := flag.String("feature", "all",
-		"all (full redesign) or one of: heterogeneous-percpu-cache, nuca-transfer-cache, span-prioritization, lifetime-aware-filler")
-	designFlag := flag.String("design", "",
-		"experiment-arm design point overriding -feature: \"optimized\" or tier=policy pairs, e.g. percpu=ewma,tc=nuca (control stays baseline)")
-	seed := flag.Uint64("seed", 1, "deterministic seed")
-	durationMs := flag.Int64("duration-ms", 250, "virtual run length per machine")
-	sample := flag.Float64("sample", 0.01, "fraction of machines enrolled (paper: 1%)")
-	chaosRate := flag.Float64("chaos-mmap-rate", 0, "injected mmap failure probability per MapHuge (0 disables)")
-	chaosBudgetMB := flag.Int64("chaos-budget-mb", 0, "per-machine committed-byte budget in MiB (0 = unlimited)")
-	auditEveryMs := flag.Int64("audit-every-ms", 0, "virtual cadence of invariant audits (0 disables)")
-	telemetryOn := flag.Bool("telemetry", false, "instrument enrolled runs and aggregate per-arm metrics registries")
-	heapprofOn := flag.Bool("heapprof", false, "attach the sampled heap profiler to enrolled runs and aggregate per-arm profiles")
-	heapprofInterval := flag.Int64("heapprof-interval", 0, "mean sampled-allocation interval in bytes (0 = default 512 KiB)")
-	gwpDir := flag.String("gwp-dir", "", "write both arms into a gwp profile warehouse at this directory (raw-00000000=control, raw-00000001=experiment; needs -heapprof)")
-	metricsOut := flag.String("metrics-out", "", "write aggregated telemetry to BASE.prom, BASE.json and BASE.mallocz (implies -telemetry)")
-	serveAddr := flag.String("serve", "", "serve /metricsz (and /heapz with -heapprof) on this address after the run (implies -telemetry, blocks)")
-	workers := flag.Int("j", 0, "concurrent machine simulations (0 = all cores, 1 = sequential)")
-	checkpointDir := flag.String("checkpoint-dir", "", "directory for per-machine checkpoints (enables crash-tolerant runs)")
-	checkpointEveryMs := flag.Int64("checkpoint-every-ms", 0, "virtual checkpoint cadence in ms (0 = duration/4; needs -checkpoint-dir)")
-	resume := flag.Bool("resume", false, "resume every machine from its checkpoint in -checkpoint-dir")
-	killFrac := flag.Float64("kill-frac", 0, "kill every machine at this fraction of virtual time after checkpointing (exit code 3; needs -checkpoint-dir)")
-	churn := flag.Float64("churn", 0, "probability each machine run is killed once mid-run and restarted cold (machine churn)")
-	restartOnOOM := flag.Bool("restart-on-oom", false, "OOM-kill and restart a machine on allocation failure instead of dropping the op (pair with -chaos-budget-mb)")
-	retries := flag.Int("retries", 1, "max attempts per machine run; retries resume from the machine's checkpoint")
-	retuneAtMs := flag.Int64("retune-at-ms", 0, "live-swap every experiment-arm machine to -retune-design at this virtual time (0 disables)")
-	retuneDesign := flag.String("retune-design", "", "design point the experiment arm retunes to at -retune-at-ms (control arm never retunes)")
-	benchSweep := flag.String("bench-sweep", "", "comma-separated -j values to benchmark (e.g. 1,2,4,max); writes JSON and exits")
-	benchOut := flag.String("bench-out", "BENCH_fleet.json", "benchmark JSON output path (with -bench-sweep)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof)")
-	memProfile := flag.String("memprofile", "", "write an allocation profile at exit to this file (go tool pprof)")
-	flag.Parse()
-	profiling.TuneGC()
-
-	stopProfiling, err := profiling.Start(*cpuProfile, *memProfile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	defer stopProfiling()
-
-	control := wsmalloc.Baseline()
-	experiment := control
-	// Both arms carry their full design-point strings into the merged
-	// telemetry and heap-profile exports, so profdiff and dashboards can
-	// identify an arm without knowing which -feature/-design spawned it.
-	experimentDesign := wsmalloc.BaselineDesign()
-	armDesc := "feature=" + *feature
-	if *designFlag != "" {
-		dp, err := wsmalloc.ParseDesignPoint(*designFlag)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-design: %v\n", err)
-			os.Exit(2)
-		}
-		if experiment, err = wsmalloc.ConfigForDesign(dp); err != nil {
-			fmt.Fprintf(os.Stderr, "-design: %v\n", err)
-			os.Exit(2)
-		}
-		experimentDesign = dp
-		armDesc = "design=" + dp.String()
-	} else {
-		featureByName := map[string]wsmalloc.Feature{
-			"heterogeneous-percpu-cache": wsmalloc.FeatureHeterogeneousPerCPU,
-			"nuca-transfer-cache":        wsmalloc.FeatureNUCATransferCache,
-			"span-prioritization":        wsmalloc.FeatureSpanPrioritization,
-			"lifetime-aware-filler":      wsmalloc.FeatureLifetimeAwareFiller,
-		}
-		switch ft, ok := featureByName[*feature]; {
-		case *feature == "all":
-			experiment = wsmalloc.Optimized()
-			experimentDesign = wsmalloc.OptimizedDesign()
-		case ok:
-			experiment = control.WithFeature(ft)
-			var err error
-			if experimentDesign, err = wsmalloc.DesignForFeature(ft); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-		default:
-			fmt.Fprintf(os.Stderr, "unknown feature %q\n", *feature)
-			os.Exit(2)
-		}
-	}
-
-	f := wsmalloc.NewFleet(*machines, *seed)
-	opts := wsmalloc.DefaultABOptions()
-	opts.SampleFraction = *sample
-	opts.DurationNs = *durationMs * 1_000_000
-	opts.Chaos = wsmalloc.FaultPlan{
-		Seed:              *seed ^ 0xc4a05c4a,
-		MmapFailureRate:   *chaosRate,
-		MappedBytesBudget: *chaosBudgetMB << 20,
-	}
-	opts.AuditEveryNs = *auditEveryMs * 1_000_000
-	opts.Workers = *workers
-	if *checkpointDir != "" {
-		everyNs := *checkpointEveryMs * 1_000_000
-		if everyNs == 0 {
-			everyNs = opts.DurationNs / 4
-		}
-		opts.Checkpoint = wsmalloc.CheckpointOptions{
-			Dir:        *checkpointDir,
-			EveryNs:    everyNs,
-			Resume:     *resume,
-			KillAtFrac: *killFrac,
-		}
-	} else if *resume || *killFrac > 0 {
-		fmt.Fprintln(os.Stderr, "-resume and -kill-frac need -checkpoint-dir")
-		os.Exit(2)
-	}
-	opts.Churn = *churn
-	opts.RestartOnOOM = *restartOnOOM
-	if *retries > 1 {
-		opts.Retry = wsmalloc.RetryPolicy{
-			MaxAttempts: *retries,
-			BaseDelay:   250 * time.Millisecond,
-			MaxDelay:    5 * time.Second,
-		}
-	}
-	opts.ControlDesign = wsmalloc.BaselineDesign().String()
-	opts.ExperimentDesign = experimentDesign.String()
-	if (*retuneDesign != "") != (*retuneAtMs > 0) {
-		fmt.Fprintln(os.Stderr, "-retune-design and -retune-at-ms must be used together")
-		os.Exit(2)
-	}
-	if *retuneDesign != "" {
-		rdp, err := wsmalloc.ParseDesignPoint(*retuneDesign)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-retune-design: %v\n", err)
-			os.Exit(2)
-		}
-		opts.RetuneAtNs = *retuneAtMs * 1_000_000
-		opts.RetuneDesign = rdp.String()
-	}
-	if *metricsOut != "" || *serveAddr != "" {
-		*telemetryOn = true
-	}
-	if *telemetryOn {
-		// Per-machine trace rings are not aggregated across a fleet, so
-		// leave them off and keep only the mergeable registries.
-		opts.Telemetry = wsmalloc.TelemetryConfig{Enabled: true}
-	}
-	if *heapprofOn {
-		hcfg := wsmalloc.DefaultHeapProfileConfig()
-		hcfg.SampleIntervalBytes = *heapprofInterval
-		hcfg.Seed = *seed
-		opts.HeapProfile = hcfg
-	}
-	if *gwpDir != "" && !*heapprofOn {
-		fmt.Fprintln(os.Stderr, "-gwp-dir needs -heapprof")
-		os.Exit(2)
-	}
-
-	if *benchSweep != "" {
-		if !runBench(f, control, experiment, opts, *benchSweep, *benchOut, *seed) {
-			fmt.Fprintln(os.Stderr, "bench: parallel result diverged from -j 1")
-			os.Exit(1)
-		}
-		return
-	}
-
-	fmt.Printf("fleet A/B: %d machines, %s, %.1f%% sampled, %dms virtual each\n",
-		*machines, armDesc, *sample*100, *durationMs)
-	fmt.Printf("  control    %s\n  experiment %s\n", opts.ControlDesign, opts.ExperimentDesign)
-	res, err := f.ABTestErr(control, experiment, opts)
-	if err != nil {
-		if errors.Is(err, wsmalloc.ErrHalted) {
-			// Scheduled kill: every machine checkpointed. Exit code 3 so
-			// wrappers can distinguish "resume me" from a real failure.
-			fmt.Println(err)
-			os.Exit(3)
-		}
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Println(res.Fleet.String())
-	for _, row := range res.PerApp {
-		fmt.Println(row.String())
-	}
-	ch := res.Chaos
-	if lc := ch.Lifecycle; lc.ChurnKills+lc.OOMKills+lc.Restarts > 0 {
-		fmt.Printf("lifecycle: %d churn kills, %d OOM kills, %d restarts\n",
-			lc.ChurnKills, lc.OOMKills, lc.Restarts)
-	}
-	if opts.Chaos.Enabled() {
-		fmt.Printf("chaos: %d mmap failures + %d budget rejections injected; %d OOMs, %d ops dropped, %d pressure releases (%d MiB returned)\n",
-			ch.InjectedFailures, ch.BudgetFailures, ch.OOMErrors, ch.AllocFailures,
-			ch.PressureEvents, ch.PressureReleasedBytes>>20)
-	}
-	if opts.AuditEveryNs > 0 {
-		fmt.Printf("audit: %d runs, %d violations\n", ch.Audits, ch.Violations)
-		if ch.Violations > 0 {
-			os.Exit(1)
-		}
-	}
-	var snaps []wsmalloc.TelemetrySnapshot
-	if res.Telemetry != nil {
-		snaps = res.Telemetry.Snapshots(opts.DurationNs)
-		if *metricsOut != "" {
-			paths, err := wsmalloc.WriteTelemetryFiles(*metricsOut, snaps, nil, wsmalloc.TraceDump{})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "write telemetry: %v\n", err)
-				os.Exit(1)
-			}
-			for _, p := range paths {
-				fmt.Printf("wrote %s\n", p)
-			}
-		} else {
-			fmt.Println()
-			if err := wsmalloc.WriteTelemetryMallocz(os.Stdout, snaps...); err != nil {
-				fmt.Fprintf(os.Stderr, "mallocz: %v\n", err)
-				os.Exit(1)
-			}
-		}
-	}
-
-	// Both arms' merged profiles in one export, control first, so
-	// profdiff can split them by label.
-	var profiles []wsmalloc.HeapProfile
-	if res.HeapProfiles != nil {
-		profiles = append(profiles, res.HeapProfiles.Control...)
-		profiles = append(profiles, res.HeapProfiles.Experiment...)
-		if *metricsOut != "" {
-			for _, out := range []struct {
-				path  string
-				write func(w *os.File) error
-			}{
-				{*metricsOut + ".heapz", func(w *os.File) error { return wsmalloc.WriteHeapProfiles(w, profiles...) }},
-				{*metricsOut + ".heapz.json", func(w *os.File) error { return wsmalloc.WriteHeapProfilesJSON(w, profiles...) }},
-			} {
-				fl, err := os.Create(out.path)
-				if err == nil {
-					err = out.write(fl)
-					if cerr := fl.Close(); err == nil {
-						err = cerr
-					}
-				}
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "write %s: %v\n", out.path, err)
-					os.Exit(1)
-				}
-				fmt.Printf("wrote %s\n", out.path)
-			}
-		} else {
-			fmt.Println()
-			if err := wsmalloc.WriteHeapProfiles(os.Stdout, profiles...); err != nil {
-				fmt.Fprintf(os.Stderr, "heapz: %v\n", err)
-				os.Exit(1)
-			}
-		}
-	}
-
-	// One warehouse window per arm: gwpquery then answers CDF, frag and
-	// window-vs-window profdiff queries over a standalone fleet run with
-	// the same tooling the daemon's continuous collection feeds.
-	if *gwpDir != "" && res.HeapProfiles != nil {
-		fp := fmt.Sprintf("fleet-ab seed=%#x machines=%d sample=%g duration=%d control=%q experiment=%q",
-			*seed, *machines, *sample, opts.DurationNs, opts.ControlDesign, opts.ExperimentDesign)
-		wh, err := gwp.Open(*gwpDir, fp, gwp.DefaultRetention(), false)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		for _, arm := range []struct {
-			idx    int64
-			design string
-			prof   []wsmalloc.HeapProfile
-			frag   wsmalloc.FragZ
-		}{
-			{0, opts.ControlDesign, res.HeapProfiles.Control, res.Frag.Control},
-			{1, opts.ExperimentDesign, res.HeapProfiles.Experiment, res.Frag.Experiment},
-		} {
-			win := &gwp.Window{
-				Meta: gwp.WindowMeta{
-					ID: gwp.WindowID(gwp.TierRaw, arm.idx), Tier: gwp.TierRaw, Index: arm.idx,
-					EndNs: opts.DurationNs, Design: arm.design,
-					Machines: res.Fleet.Machines, Sources: 1,
-				},
-				Frag:     arm.frag,
-				Profiles: arm.prof,
-			}
-			if err := wh.Append(win); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-		fmt.Printf("wrote gwp warehouse %s (raw-00000000=control, raw-00000001=experiment)\n", *gwpDir)
-	}
-
-	if *serveAddr != "" {
-		serveStart := time.Now()
-		ep := wsmalloc.TelemetryEndpoints{
-			Snapshots: func() []wsmalloc.TelemetrySnapshot { return snaps },
-			// /statusz identifies the finished A/B run this one-shot server
-			// is exposing; /healthz reports "ok" for as long as it serves.
-			Status: func() any {
-				return map[string]any{
-					"service":       "fleet-ab",
-					"uptime_sec":    time.Since(serveStart).Seconds(),
-					"arm":           armDesc,
-					"machines":      *machines,
-					"sample":        *sample,
-					"seed":          *seed,
-					"duration_ms":   *durationMs,
-					"arms":          len(snaps),
-					"heap_profiles": len(profiles),
-				}
-			},
-			Health: func() error { return nil },
-		}
-		if len(profiles) > 0 {
-			ep.Heapz = func(w io.Writer, format string) error {
-				if format == "json" {
-					return wsmalloc.WriteHeapProfilesJSON(w, profiles...)
-				}
-				return wsmalloc.WriteHeapProfiles(w, profiles...)
-			}
-		}
-		fmt.Printf("serving /metricsz, /heapz, /statusz and /healthz on %s\n", *serveAddr)
-		if err := wsmalloc.ServeTelemetry(*serveAddr, ep); err != nil {
-			fmt.Fprintf(os.Stderr, "serve: %v\n", err)
-			os.Exit(1)
-		}
-	}
+	fmt.Fprintf(stdout, "wrote %s\n", out)
+	return ok, nil
 }

@@ -38,13 +38,16 @@
 // profiled into one window of the on-disk profile warehouse, queried
 // offline with gwpquery. The warehouse honours the same kill/resume
 // bit-identity contract as the checkpoints.
+//
+// Flags shared with the other run binaries live in internal/cli; -churn
+// (a per-tick probability) and -design (default optimized) differ here.
 package main
 
 import (
 	"context"
 	"errors"
-	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -52,111 +55,87 @@ import (
 	"syscall"
 	"time"
 
-	"wsmalloc"
+	"wsmalloc/internal/cli"
 	"wsmalloc/internal/daemon"
 )
 
-func main() {
-	listen := flag.String("listen", ":8080", "HTTP listen address")
-	machines := flag.Int("machines", 64, "fleet catalog size")
-	sample := flag.Float64("sample", 0.25, "fraction of machines enrolled")
-	seed := flag.Uint64("seed", 1, "deterministic seed")
-	designFlag := flag.String("design", "optimized", "allocator design point: baseline, optimized, or tier=policy pairs")
-	tickMs := flag.Float64("tick-ms", 2, "virtual time per tick in ms")
-	diurnalMs := flag.Float64("diurnal-ms", 16, "diurnal load-curve period in ms")
-	workers := flag.Int("j", 0, "concurrent machine simulations per tick (0 = all cores)")
-	churn := flag.Float64("churn", 0.002, "per-machine cold-restart probability per tick")
-	restartOnOOM := flag.Bool("restart-on-oom", false, "cold-restart a machine whose allocation failed")
-	ring := flag.Int("ring", 256, "per-tick series ring capacity")
-	ticks := flag.Int64("ticks", 0, "stop after this many ticks (0 = run until quit)")
-	tickWallMs := flag.Int64("tick-wall-ms", 0, "wall-clock pacing per tick in ms (0 = free-running)")
-	wdWindow := flag.Int("wd-window", 16, "watchdog baseline window in ticks")
-	wdRate := flag.Float64("wd-rate-threshold", 1.0, "watchdog relative rate-change threshold (1.0 = 2x baseline)")
-	wdMinRate := flag.Float64("wd-min-rate", 1, "minimum baseline events/tick for a rate alert")
-	rolloutStageTicks := flag.Int("rollout-stage-ticks", 8, "baked ticks per rollout stage before the promotion gate")
-	rolloutSettleTicks := flag.Int("rollout-settle-ticks", 2, "gate-free ticks after each rollout stage swap (cold-cache settle)")
-	rolloutThreshold := flag.Float64("rollout-threshold", 0.5, "max relative worsening of a watched rate (candidate vs control) the promotion gate tolerates")
-	alertLog := flag.String("alert-log", "", "append one JSON alert per line to this file")
-	webhook := flag.String("webhook", "", "POST each alert to this URL (best-effort)")
-	checkpointDir := flag.String("checkpoint-dir", "", "directory for daemon checkpoints")
-	checkpointEvery := flag.Int("checkpoint-every-ticks", 64, "automatic checkpoint cadence in ticks (needs -checkpoint-dir)")
-	resume := flag.Bool("resume", false, "resume from the checkpoint in -checkpoint-dir")
-	gwpDir := flag.String("gwp-dir", "", "profile warehouse directory (enables continuous fleet profiling)")
-	gwpEvery := flag.Int("gwp-every-ticks", 16, "ticks per profile window (needs -gwp-dir)")
-	gwpSample := flag.Float64("gwp-sample", 0.01, "fraction of enrolled machines profiled per window")
-	gwpMin := flag.Int("gwp-min", 1, "minimum machines profiled per window")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	dp, err := wsmalloc.ParseDesignPoint(*designFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "-design: %v\n", err)
-		os.Exit(2)
-	}
-	acfg, err := wsmalloc.ConfigForDesign(dp)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "-design: %v\n", err)
-		os.Exit(2)
-	}
-	if *resume && *checkpointDir == "" {
-		fmt.Fprintln(os.Stderr, "-resume needs -checkpoint-dir")
-		os.Exit(2)
-	}
+// command is fleet-daemon's command line, every flag bound onto the
+// daemon.Config field it sets.
+type command struct {
+	*cli.Flags
+	cfg               daemon.Config
+	listen, design    string
+	tickMs, diurnalMs float64
+}
 
-	cfg := daemon.DefaultConfig(*seed)
-	cfg.Machines = *machines
-	cfg.SampleFraction = *sample
-	cfg.AllocConfig = acfg
+func newCommand(stderr io.Writer) *command {
+	c := &command{Flags: cli.New("fleet-daemon", stderr), cfg: daemon.DefaultConfig(1)}
+	cfg := &c.cfg
+	c.StringVar(&c.listen, "listen", ":8080", "HTTP listen address")
+	c.IntVar(&cfg.Machines, "machines", 64, "fleet catalog size")
+	c.Sample(&cfg.SampleFraction, 0.25)
+	c.Seed(&cfg.Seed)
+	c.StringVar(&c.design, "design", "optimized", "allocator design point: baseline, optimized, or tier=policy pairs")
+	c.Float64Var(&c.tickMs, "tick-ms", 2, "virtual time per tick in ms")
+	c.Float64Var(&c.diurnalMs, "diurnal-ms", 16, "diurnal load-curve period in ms")
+	c.Workers(&cfg.Workers)
+	c.Prob(&cfg.ChurnPerTick, "churn", 0.002, "per-machine cold-restart probability per tick")
+	c.RestartOnOOM(&cfg.RestartOnOOM)
+	c.IntVar(&cfg.RingCapacity, "ring", 256, "per-tick series ring capacity")
+	c.Int64Var(&cfg.MaxTicks, "ticks", 0, "stop after this many ticks (0 = run until quit)")
+	cli.Millis(c.FlagSet, (*int64)(&cfg.TickWall), "tick-wall-ms", 0, "wall-clock pacing per tick in `ms` (0 = free-running)")
+	c.IntVar(&cfg.Watchdog.Window, "wd-window", 16, "watchdog baseline window in ticks")
+	c.Float64Var(&cfg.Watchdog.RateThreshold, "wd-rate-threshold", 1.0, "watchdog relative rate-change threshold (1.0 = 2x baseline)")
+	c.Float64Var(&cfg.Watchdog.MinRate, "wd-min-rate", 1, "minimum baseline events/tick for a rate alert")
+	c.IntVar(&cfg.Rollout.StageTicks, "rollout-stage-ticks", 8, "baked ticks per rollout stage before the promotion gate")
+	c.IntVar(&cfg.Rollout.SettleTicks, "rollout-settle-ticks", 2, "gate-free ticks after each rollout stage swap (cold-cache settle)")
+	c.Float64Var(&cfg.Rollout.PromoteThreshold, "rollout-threshold", 0.5, "max relative worsening of a watched rate (candidate vs control) the promotion gate tolerates")
+	c.StringVar(&cfg.AlertLog, "alert-log", "", "append one JSON alert per line to this file")
+	c.StringVar(&cfg.WebhookURL, "webhook", "", "POST each alert to this URL (best-effort)")
+	c.CheckpointDir(&cfg.CheckpointDir, &cfg.Resume)
+	c.IntVar(&cfg.CheckpointEveryTicks, "checkpoint-every-ticks", 64, "automatic checkpoint cadence in ticks (needs -checkpoint-dir)")
+	c.StringVar(&cfg.GWP.Dir, "gwp-dir", "", "profile warehouse directory (enables continuous fleet profiling)")
+	c.IntVar(&cfg.GWP.CollectEveryTicks, "gwp-every-ticks", 16, "ticks per profile window (needs -gwp-dir)")
+	c.Float64Var(&cfg.GWP.SampleFraction, "gwp-sample", 0.01, "fraction of enrolled machines profiled per window")
+	c.IntVar(&cfg.GWP.MinPerWindow, "gwp-min", 1, "minimum machines profiled per window")
+	return c
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	c := newCommand(stderr)
+	if code, ok := c.Parse(args); !ok {
+		return code
+	}
+	cfg := c.cfg
+	dp, err := cli.SetDesign(&cfg.AllocConfig, c.design)
+	if err != nil {
+		return cli.Usage(stderr, "%v", err)
+	}
 	cfg.Design = dp.String()
-	cfg.TickNs = int64(*tickMs * 1e6)
-	cfg.DiurnalPeriodNs = int64(*diurnalMs * 1e6)
-	cfg.Workers = *workers
-	cfg.ChurnPerTick = *churn
-	cfg.RestartOnOOM = *restartOnOOM
-	cfg.RingCapacity = *ring
-	cfg.Watchdog.Window = *wdWindow
-	cfg.Watchdog.RateThreshold = *wdRate
-	cfg.Watchdog.MinRate = *wdMinRate
-	cfg.Rollout.StageTicks = *rolloutStageTicks
-	cfg.Rollout.SettleTicks = *rolloutSettleTicks
-	cfg.Rollout.PromoteThreshold = *rolloutThreshold
-	cfg.AlertLog = *alertLog
-	cfg.WebhookURL = *webhook
-	cfg.CheckpointDir = *checkpointDir
-	if *checkpointDir != "" {
-		cfg.CheckpointEveryTicks = *checkpointEvery
-	}
-	cfg.Resume = *resume
-	cfg.TickWall = time.Duration(*tickWallMs) * time.Millisecond
-	cfg.MaxTicks = *ticks
-	if *gwpDir != "" {
-		cfg.GWP.Enabled = true
-		cfg.GWP.Dir = *gwpDir
-		cfg.GWP.CollectEveryTicks = *gwpEvery
-		cfg.GWP.SampleFraction = *gwpSample
-		cfg.GWP.MinPerWindow = *gwpMin
-	}
+	cfg.TickNs, cfg.DiurnalPeriodNs = int64(c.tickMs*1e6), int64(c.diurnalMs*1e6)
+	cfg.GWP.Enabled = cfg.GWP.Dir != ""
 
 	d, err := daemon.New(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return cli.Exit(stderr, err)
 	}
 	defer d.Close()
 
-	ln, err := net.Listen("tcp", *listen)
+	ln, err := net.Listen("tcp", c.listen)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return cli.Exit(stderr, err)
 	}
 	srv := &http.Server{Handler: d.Handler()}
 	go func() {
 		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintf(os.Stderr, "serve: %v\n", err)
+			fmt.Fprintf(stderr, "serve: %v\n", err)
 		}
 	}()
 	st := d.Status()
-	fmt.Printf("fleet-daemon: %d machines enrolled, design %s, %gms ticks, serving on %s\n",
-		st.Machines, cfg.Design, *tickMs, ln.Addr())
+	fmt.Fprintf(stdout, "fleet-daemon: %d machines enrolled, design %s, %gms ticks, serving on %s\n",
+		st.Machines, cfg.Design, c.tickMs, ln.Addr())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -170,10 +149,10 @@ func main() {
 	defer cancel()
 	_ = srv.Shutdown(shutdownCtx)
 	if runErr != nil && !errors.Is(runErr, context.Canceled) {
-		fmt.Fprintln(os.Stderr, runErr)
-		os.Exit(1)
+		return cli.Exit(stderr, runErr)
 	}
 	st = d.Status()
-	fmt.Printf("fleet-daemon: stopped at tick %d (%.1f ms virtual), %d restarts, %d alerts\n",
+	fmt.Fprintf(stdout, "fleet-daemon: stopped at tick %d (%.1f ms virtual), %d restarts, %d alerts\n",
 		st.Tick, st.VirtualSec*1e3, st.Restarts, st.AlertsTotal)
+	return 0
 }

@@ -5,9 +5,14 @@
 // Usage:
 //
 //	wsmalloc-sim [-profile fleet] [-config baseline|optimized|<feature>]
-//	             [-duration-ms 200] [-seed 1]
+//	             [-design POINT] [-duration-ms 200] [-seed 1]
 //	             [-telemetry] [-metrics-out BASE] [-sample-every-ms 10]
-//	             [-serve :8080]
+//	             [-heapprof] [-heapprof-interval N] [-pageheapz] [-serve :8080]
+//	             [-checkpoint-dir DIR] [-checkpoint-every-ms N] [-resume]
+//	             [-kill-frac 0.5] [-churn 0.1] [-restart-on-oom]
+//	             [-retune-design POINT -retune-at-ms N] [-list] [-list-policies]
+//
+// Flags shared with the other run binaries live in internal/cli.
 //
 // -telemetry instruments every allocator tier with the metrics registry
 // and event tracer and appends a mallocz-style dump to the report.
@@ -19,234 +24,234 @@
 // -metrics-out). -pageheapz dumps the hugepage occupancy maps and the
 // fragmentation decomposition. -serve keeps the process alive serving
 // /metricsz, /tracez, /heapz and /pageheapz over HTTP.
+//
+// The checkpoint and lifecycle flags run the profile through the
+// crash-tolerant machine runner: -kill-frac stops the run after a
+// checkpoint with exit code 3, and -resume finishes it with exports
+// byte-identical to an uninterrupted run.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"os"
 	"sort"
-	"time"
 
-	"wsmalloc"
-	"wsmalloc/internal/profiling"
+	"wsmalloc/internal/cli"
+	"wsmalloc/internal/core"
+	"wsmalloc/internal/fleet"
+	"wsmalloc/internal/policy"
+	"wsmalloc/internal/telemetry"
+	"wsmalloc/internal/topology"
+	"wsmalloc/internal/workload"
 )
 
-func main() {
-	profileName := flag.String("profile", "fleet", "workload profile (see -list)")
-	configName := flag.String("config", "baseline",
-		"baseline, optimized, or one redesign: heterogeneous-percpu-cache, nuca-transfer-cache, span-prioritization, lifetime-aware-filler")
-	designFlag := flag.String("design", "",
-		"design point overriding -config: \"baseline\", \"optimized\", or tier=policy pairs, e.g. percpu=hetero,tc=nuca,cfl=prio8,filler=capacity (see -list-policies)")
-	listPolicies := flag.Bool("list-policies", false, "list registered per-tier policies and exit")
-	durationMs := flag.Int64("duration-ms", 200, "virtual run length in milliseconds")
-	seed := flag.Uint64("seed", 1, "deterministic simulation seed")
-	list := flag.Bool("list", false, "list profiles and exit")
-	telemetryOn := flag.Bool("telemetry", false, "instrument the allocator and dump a mallocz-style report")
-	metricsOut := flag.String("metrics-out", "", "write telemetry to BASE.prom, BASE.json and BASE.mallocz (implies -telemetry)")
-	sampleEveryMs := flag.Int64("sample-every-ms", 10, "virtual cadence of the telemetry time-series sampler (0 disables)")
-	serveAddr := flag.String("serve", "", "serve /metricsz, /tracez, /heapz and /pageheapz on this address after the run (implies -telemetry, blocks)")
-	heapprofOn := flag.Bool("heapprof", false, "attach the sampled heap profiler and dump heapz/allocz/peakheapz")
-	heapprofInterval := flag.Int64("heapprof-interval", 0, "mean sampled-allocation interval in bytes (0 = default 512 KiB)")
-	pageheapzOn := flag.Bool("pageheapz", false, "dump hugepage occupancy maps and the fragmentation decomposition")
-	checkpointDir := flag.String("checkpoint-dir", "", "directory for run checkpoints (enables crash-tolerant runs)")
-	checkpointEveryMs := flag.Int64("checkpoint-every-ms", 0, "virtual checkpoint cadence in ms (0 = duration/4; needs -checkpoint-dir)")
-	resume := flag.Bool("resume", false, "resume the run from its checkpoint in -checkpoint-dir")
-	killFrac := flag.Float64("kill-frac", 0, "kill the run at this fraction of virtual time after checkpointing (exit code 3; needs -checkpoint-dir)")
-	churn := flag.Float64("churn", 0, "probability the run is killed once mid-run and restarted cold (machine churn)")
-	restartOnOOM := flag.Bool("restart-on-oom", false, "OOM-kill and restart on allocation failure instead of dropping the op (pair with a Config fault budget)")
-	retuneAtMs := flag.Int64("retune-at-ms", 0, "live-swap the allocator to -retune-design at this virtual time (0 disables)")
-	retuneDesign := flag.String("retune-design", "", "design point applied live at -retune-at-ms (e.g. \"optimized\" or \"percpu=hetero,tc=nuca,cfl=prio8,filler=capacity\")")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof)")
-	memProfile := flag.String("memprofile", "", "write an allocation profile at exit to this file (go tool pprof)")
-	flag.Parse()
-	profiling.TuneGC()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	stopProfiling, err := profiling.Start(*cpuProfile, *memProfile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+// command is wsmalloc-sim's command line, every flag bound onto the
+// value it sets.
+type command struct {
+	*cli.Flags
+	cfg          core.Config
+	opts         workload.Options
+	lc           fleet.LifecycleOptions
+	design       *cli.Design
+	profile      string
+	list         bool
+	listPolicies bool
+	pageheapz    bool
+}
+
+func newCommand(stderr io.Writer) *command {
+	c := &command{Flags: cli.New("wsmalloc-sim", stderr), cfg: core.BaselineConfig(), opts: workload.DefaultOptions(1)}
+	c.cfg.Telemetry = telemetry.DefaultConfig()
+	c.StringVar(&c.profile, "profile", "fleet", "workload profile (see -list)")
+	c.design = c.Design(&c.cfg, "config", "baseline", "baseline, optimized, or one redesign: heterogeneous-percpu-cache, nuca-transfer-cache, span-prioritization, lifetime-aware-filler",
+		map[string]policy.DesignPoint{"baseline": policy.Baseline(), "optimized": policy.Optimized()})
+	c.BoolVar(&c.listPolicies, "list-policies", false, "list registered per-tier policies and exit")
+	c.BoolVar(&c.list, "list", false, "list profiles and exit")
+	c.Seed(&c.opts.Seed)
+	c.Duration(&c.opts.Duration, 200)
+	c.Exports(&c.cfg.Telemetry, &c.cfg.HeapProfile)
+	c.HeapProfInterval(&c.cfg.HeapProfile)
+	cli.Millis(c.FlagSet, &c.cfg.Telemetry.SampleEveryNs, "sample-every-ms", 10,
+		"virtual cadence of the telemetry time-series sampler in `ms` (0 disables)")
+	c.BoolVar(&c.pageheapz, "pageheapz", false, "dump hugepage occupancy maps and the fragmentation decomposition")
+	c.Serve()
+	c.Checkpoint(&c.lc.Checkpoint)
+	c.Churn(&c.lc.Churn)
+	c.RestartOnOOM(&c.lc.RestartOnOOM)
+	c.Retune(&c.opts.RetuneAtNs, &c.opts.RetuneDesign)
+	c.Profiling()
+	return c
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	c := newCommand(stderr)
+	if code, ok := c.Parse(args); !ok {
+		return code
 	}
-	defer stopProfiling()
+	stop, err := c.StartProfiling()
+	if err != nil {
+		return cli.Usage(stderr, "%v", err)
+	}
+	defer stop()
 
-	if *list {
-		for _, p := range wsmalloc.AllProfiles() {
-			fmt.Printf("  %-18s malloc %4.1f%%  threads ~%d  cpus %d\n",
+	if c.list {
+		for _, p := range workload.AllProfiles() {
+			fmt.Fprintf(stdout, "  %-18s malloc %4.1f%%  threads ~%d  cpus %d\n",
 				p.Name, p.MallocFraction*100, p.Threads.Base, p.CPUSet)
 		}
-		return
+		return 0
 	}
-	if *listPolicies {
-		for _, tier := range wsmalloc.PolicyTiers() {
-			fmt.Printf("%s:\n", tier)
-			for _, name := range wsmalloc.PolicyNames(tier) {
-				p, _ := wsmalloc.LookupPolicy(tier, name)
-				fmt.Printf("  %-10s %s\n", name, p.Desc)
+	if c.listPolicies {
+		for _, tier := range policy.Tiers() {
+			fmt.Fprintf(stdout, "%s:\n", tier)
+			for _, name := range policy.Names(tier) {
+				p, _ := policy.Lookup(tier, name)
+				fmt.Fprintf(stdout, "  %-10s %s\n", name, p.Desc)
 			}
 		}
-		return
+		return 0
 	}
-
-	profile, ok := wsmalloc.ProfileByName(*profileName)
+	profile, ok := workload.ByName(c.profile)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown profile %q (try -list)\n", *profileName)
-		os.Exit(2)
+		return cli.Usage(stderr, "unknown profile %q (try -list)", c.profile)
 	}
-
-	cfg := wsmalloc.Baseline()
-	// design is the canonical design-point string stamped onto every
-	// export when -design is used; "" keeps the legacy -config labeling.
-	design := ""
-	runLabel := *configName
-	if *designFlag != "" {
-		dp, err := wsmalloc.ParseDesignPoint(*designFlag)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-design: %v\n", err)
-			os.Exit(2)
-		}
-		if cfg, err = wsmalloc.ConfigForDesign(dp); err != nil {
-			fmt.Fprintf(os.Stderr, "-design: %v\n", err)
-			os.Exit(2)
-		}
-		design = dp.String()
-		runLabel = design
-	} else {
-		switch *configName {
-		case "baseline":
-		case "optimized":
-			cfg = wsmalloc.Optimized()
-		case "heterogeneous-percpu-cache":
-			cfg = cfg.WithFeature(wsmalloc.FeatureHeterogeneousPerCPU)
-		case "nuca-transfer-cache":
-			cfg = cfg.WithFeature(wsmalloc.FeatureNUCATransferCache)
-		case "span-prioritization":
-			cfg = cfg.WithFeature(wsmalloc.FeatureSpanPrioritization)
-		case "lifetime-aware-filler":
-			cfg = cfg.WithFeature(wsmalloc.FeatureLifetimeAwareFiller)
-		default:
-			fmt.Fprintf(os.Stderr, "unknown config %q\n", *configName)
-			os.Exit(2)
-		}
-	}
-
-	if *metricsOut != "" || *serveAddr != "" {
-		*telemetryOn = true
-	}
-	if *telemetryOn {
-		tcfg := wsmalloc.DefaultTelemetryConfig()
-		tcfg.SampleEveryNs = *sampleEveryMs * 1_000_000
-		cfg.Telemetry = tcfg
-	}
-	if *heapprofOn {
-		hcfg := wsmalloc.DefaultHeapProfileConfig()
-		hcfg.SampleIntervalBytes = *heapprofInterval
-		hcfg.Seed = *seed
-		cfg.HeapProfile = hcfg
-	}
-
-	opts := wsmalloc.DefaultRunOptions(*seed)
-	opts.Duration = *durationMs * 1_000_000
-	if (*retuneDesign != "") != (*retuneAtMs > 0) {
-		fmt.Fprintln(os.Stderr, "-retune-design and -retune-at-ms must be used together")
-		os.Exit(2)
-	}
-	if *retuneDesign != "" {
-		rdp, err := wsmalloc.ParseDesignPoint(*retuneDesign)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-retune-design: %v\n", err)
-			os.Exit(2)
-		}
-		opts.RetuneAtNs = *retuneAtMs * 1_000_000
-		opts.RetuneDesign = rdp.String()
-	}
-
 	// Lifecycle mode runs the profile through the crash-tolerant machine
 	// runner: periodic checkpoints, scheduled/churn kills, OOM restarts.
 	// A restarted run loses its heap and caches but keeps its workload
 	// position. The allocator lives inside the runner, so the live
 	// /pageheapz, /tracez and -serve views are unavailable in this mode.
-	lifecycleOn := *checkpointDir != "" || *churn > 0 || *restartOnOOM
-	if (*resume || *killFrac > 0) && *checkpointDir == "" {
-		fmt.Fprintln(os.Stderr, "-resume and -kill-frac need -checkpoint-dir")
-		os.Exit(2)
-	}
-	if lifecycleOn && (*pageheapzOn || *serveAddr != "") {
-		fmt.Fprintln(os.Stderr, "-pageheapz and -serve are not available with lifecycle flags")
-		os.Exit(2)
+	lifecycleOn := c.lc.Checkpoint.Dir != "" || c.lc.Churn > 0 || c.lc.RestartOnOOM
+	if lifecycleOn && (c.pageheapz || c.ServeAddr != "") {
+		return cli.Usage(stderr, "-pageheapz and -serve are not available with lifecycle flags")
 	}
 
-	var res wsmalloc.RunResult
-	var alloc *wsmalloc.Allocator
-	var machineTel *wsmalloc.TelemetryRegistry
-	var machineProfiles []wsmalloc.HeapProfile
+	// design is the canonical design-point string stamped onto every
+	// export when -design is used; "" keeps the -config labeling.
+	design, label, runLabel := "", c.design.Named, c.design.Named
+	if c.design.Override {
+		design, label, runLabel = c.design.Point.String(), "", c.design.Point.String()
+	}
+	opts := c.opts
+	var res workload.Result
+	var alloc *core.Allocator
+	var x cli.Exports
 	if lifecycleOn {
-		everyNs := *checkpointEveryMs * 1_000_000
-		if everyNs == 0 {
-			everyNs = opts.Duration / 4
-		}
-		m := wsmalloc.Machine{ID: 0, Platform: wsmalloc.DefaultPlatform(), App: profile, Seed: *seed}
-		lc := wsmalloc.LifecycleOptions{
-			Arm:          "sim",
-			Design:       runLabel,
-			Churn:        *churn,
-			ChurnSeed:    *seed ^ 0xc0ffee,
-			RestartOnOOM: *restartOnOOM,
-		}
-		if *checkpointDir != "" {
-			lc.Checkpoint = wsmalloc.CheckpointOptions{
-				Dir:        *checkpointDir,
-				EveryNs:    everyNs,
-				Resume:     *resume,
-				KillAtFrac: *killFrac,
-			}
-		}
-		rm, lcStats, halted, err := wsmalloc.RunMachineLifecycle(m, cfg, opts, lc)
+		seed := opts.Seed
+		m := fleet.Machine{ID: 0, Platform: topology.Default(), App: profile, Seed: seed}
+		c.lc.Arm, c.lc.Design, c.lc.ChurnSeed = "sim", runLabel, seed^0xc0ffee
+		rm, lcStats, halted, err := fleet.RunMachineLifecycle(m, c.cfg, opts, c.lc)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return cli.Exit(stderr, err)
 		}
 		if halted {
-			fmt.Printf("run killed at %.0f%% virtual time; checkpointed to %s — re-run with -resume to finish\n",
-				*killFrac*100, *checkpointDir)
-			os.Exit(3)
+			fmt.Fprintf(stdout, "run killed at %.0f%% virtual time; checkpointed to %s — re-run with -resume to finish\n",
+				c.lc.Checkpoint.KillAtFrac*100, c.lc.Checkpoint.Dir)
+			return cli.ExitHalted
 		}
 		if lcStats.ChurnKills+lcStats.OOMKills+lcStats.Restarts > 0 {
-			fmt.Printf("lifecycle: %d churn kills, %d OOM kills, %d restarts\n",
+			fmt.Fprintf(stdout, "lifecycle: %d churn kills, %d OOM kills, %d restarts\n",
 				lcStats.ChurnKills, lcStats.OOMKills, lcStats.Restarts)
 		}
 		res = rm.Result
-		machineTel = rm.Telemetry
-		machineProfiles = rm.HeapProfiles
+		// The registry survives restarts and resume; the trace ring and
+		// sampler series stay inside the runner.
+		if rm.Telemetry != nil {
+			x.Snapshots = []telemetry.Snapshot{rm.Telemetry.Snapshot(label, opts.Duration)}
+		}
+		x.Profiles = rm.HeapProfiles
+		for i := range x.Profiles {
+			x.Profiles[i].Label = label
+		}
 	} else {
-		alloc = wsmalloc.NewAllocator(cfg, wsmalloc.DefaultPlatform())
-		res = wsmalloc.RunWorkloadOn(profile, alloc, opts)
+		alloc = core.New(c.cfg, topology.New(topology.Default()))
+		res = workload.Run(profile, alloc, opts)
+		if tel := alloc.Telemetry(); tel != nil {
+			x.Snapshots = []telemetry.Snapshot{tel.Snapshot(label, alloc.Now())}
+			x.Trace = tel.Tracer().Dump()
+			x.Series = tel.Samples()
+		}
+		x.Profiles = alloc.HeapProfiles(label)
 	}
+	for i := range x.Snapshots {
+		x.Snapshots[i].Design = design
+	}
+	for i := range x.Profiles {
+		x.Profiles[i].Design = design
+	}
+
+	printReport(stdout, profile.Name, runLabel, opts, res)
+	if err := c.WriteExports(stdout, x); err != nil {
+		return cli.Exit(stderr, err)
+	}
+	if c.pageheapz {
+		z := alloc.PageHeapZ()
+		var err error
+		if c.MetricsOut != "" {
+			err = cli.WriteFile(stdout, c.MetricsOut+".pageheapz", func(w io.Writer) error { return core.WritePageHeapZ(w, z) })
+		} else {
+			fmt.Fprintln(stdout)
+			if err = core.WritePageHeapZ(stdout, z); err != nil {
+				err = fmt.Errorf("pageheapz: %w", err)
+			}
+		}
+		if err != nil {
+			return cli.Exit(stderr, err)
+		}
+	}
+	if c.ServeAddr == "" {
+		return 0
+	}
+	// /statusz identifies the finished run this one-shot server is
+	// exposing.
+	return cli.Exit(stderr, c.ServeRun(stdout, "wsmalloc-sim", x, map[string]any{
+		"profile":     profile.Name,
+		"config":      runLabel,
+		"seed":        opts.Seed,
+		"duration_ms": opts.Duration / 1e6,
+		"ops":         res.Ops,
+		"frees":       res.Frees,
+	}, telemetry.Endpoints{
+		Trace: func() telemetry.TraceDump { return x.Trace },
+		PageHeapz: func(w io.Writer, format string) error {
+			z := alloc.PageHeapZ()
+			if format == "json" {
+				return core.WritePageHeapZJSON(w, z)
+			}
+			return core.WritePageHeapZ(w, z)
+		},
+	}))
+}
+
+// printReport prints the run summary: throughput, malloc time, heap,
+// fragmentation, per-tier state and the Fig. 6a cycle breakdown.
+func printReport(w io.Writer, profile, runLabel string, opts workload.Options, res workload.Result) {
 	st := res.Stats
-
-	fmt.Printf("profile %s under %s for %dms virtual (seed %d)\n",
-		profile.Name, runLabel, *durationMs, *seed)
-	fmt.Printf("  ops            %d allocs, %d frees (%.1fM ops/s virtual)\n",
+	fmt.Fprintf(w, "profile %s under %s for %dms virtual (seed %d)\n",
+		profile, runLabel, opts.Duration/1e6, opts.Seed)
+	fmt.Fprintf(w, "  ops            %d allocs, %d frees (%.1fM ops/s virtual)\n",
 		res.Ops, res.Frees, res.OpsPerSecond()/1e6)
-	fmt.Printf("  malloc time    %.2f ms modeled (%.2f%% of app CPU)\n",
+	fmt.Fprintf(w, "  malloc time    %.2f ms modeled (%.2f%% of app CPU)\n",
 		res.MallocNs/1e6, res.MallocNs/res.TotalCPUNs*100)
-	fmt.Printf("  live heap      %.1f MiB requested, %.1f MiB rounded, %.1f MiB mapped\n",
-		f(st.LiveRequestedBytes), f(st.LiveRoundedBytes), f(st.HeapBytes))
-	fmt.Printf("  fragmentation  %.1f%% of live (ext %.1f MiB + int %.1f MiB)\n",
-		st.FragmentationRatio()*100, f(st.ExternalFragBytes()), f(st.InternalFragBytes()))
-	fmt.Printf("  hugepages      coverage %.2f%%\n", st.HugepageCoverage*100)
-	fmt.Printf("  front-end      %d vCPU caches, %.1f MiB cached, hit rate %.3f%%\n",
-		st.FrontEnd.PopulatedCaches, f(st.FrontEnd.CachedBytes),
+	fmt.Fprintf(w, "  live heap      %.1f MiB requested, %.1f MiB rounded, %.1f MiB mapped\n",
+		mib(st.LiveRequestedBytes), mib(st.LiveRoundedBytes), mib(st.HeapBytes))
+	fmt.Fprintf(w, "  fragmentation  %.1f%% of live (ext %.1f MiB + int %.1f MiB)\n",
+		st.FragmentationRatio()*100, mib(st.ExternalFragBytes()), mib(st.InternalFragBytes()))
+	fmt.Fprintf(w, "  hugepages      coverage %.2f%%\n", st.HugepageCoverage*100)
+	fmt.Fprintf(w, "  front-end      %d vCPU caches, %.1f MiB cached, hit rate %.3f%%\n",
+		st.FrontEnd.PopulatedCaches, mib(st.FrontEnd.CachedBytes),
 		pct(st.FrontEnd.AllocHits, st.FrontEnd.AllocHits+st.FrontEnd.AllocMisses))
-	fmt.Printf("  transfer       %.1f MiB cached; reuse intra %d / inter %d / cold %d\n",
-		f(st.Transfer.CachedBytes), st.Transfer.IntraDomain, st.Transfer.InterDomain, st.Transfer.Cold)
-	fmt.Printf("  central lists  %d spans (%d created, %d released)\n",
+	fmt.Fprintf(w, "  transfer       %.1f MiB cached; reuse intra %d / inter %d / cold %d\n",
+		mib(st.Transfer.CachedBytes), st.Transfer.IntraDomain, st.Transfer.InterDomain, st.Transfer.Cold)
+	fmt.Fprintf(w, "  central lists  %d spans (%d created, %d released)\n",
 		st.CFLSpans, st.CFLSpansCreated, st.CFLSpansReleased)
-	fmt.Printf("  pageheap       filler %.1f/%.1f MiB used/free, region %.1f/%.1f, cache %.1f free\n",
-		f(st.Heap.FillerUsed), f(st.Heap.FillerFree), f(st.Heap.RegionUsed),
-		f(st.Heap.RegionFree), f(st.Heap.CacheFree))
+	fmt.Fprintf(w, "  pageheap       filler %.1f/%.1f MiB used/free, region %.1f/%.1f, cache %.1f free\n",
+		mib(st.Heap.FillerUsed), mib(st.Heap.FillerFree), mib(st.Heap.RegionUsed),
+		mib(st.Heap.RegionFree), mib(st.Heap.CacheFree))
 
-	fmt.Println("  cycle breakdown:")
+	fmt.Fprintln(w, "  cycle breakdown:")
 	shares := st.Time.Shares()
 	keys := make([]string, 0, len(shares))
 	for k := range shares {
@@ -254,167 +259,11 @@ func main() {
 	}
 	sort.Slice(keys, func(i, j int) bool { return shares[keys[i]] > shares[keys[j]] })
 	for _, k := range keys {
-		fmt.Printf("    %-16s %6.2f%%\n", k, shares[k]*100)
-	}
-
-	var snaps []wsmalloc.TelemetrySnapshot
-	var series []wsmalloc.TelemetrySnapshot
-	var trace wsmalloc.TraceDump
-	if alloc != nil {
-		if tel := alloc.Telemetry(); tel != nil {
-			snap := tel.Snapshot(*configName, alloc.Now())
-			if design != "" {
-				// -design identifies the run by its full design string rather
-				// than by the -config name it overrode.
-				snap = tel.Snapshot("", alloc.Now())
-				snap.Design = design
-			}
-			snaps = []wsmalloc.TelemetrySnapshot{snap}
-			trace = tel.Tracer().Dump()
-			series = tel.Samples()
-		}
-	} else if machineTel != nil {
-		// Lifecycle mode: the registry survives restarts and resume; the
-		// trace ring and sampler series stay inside the runner.
-		label := *configName
-		if design != "" {
-			label = ""
-		}
-		snap := machineTel.Snapshot(label, opts.Duration)
-		snap.Design = design
-		snaps = []wsmalloc.TelemetrySnapshot{snap}
-	}
-	if len(snaps) > 0 {
-		if *metricsOut != "" {
-			paths, err := wsmalloc.WriteTelemetryFiles(*metricsOut, snaps, series, trace)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "write telemetry: %v\n", err)
-				os.Exit(1)
-			}
-			for _, p := range paths {
-				fmt.Printf("wrote %s\n", p)
-			}
-		} else {
-			fmt.Println()
-			if err := wsmalloc.WriteTelemetryMallocz(os.Stdout, snaps...); err != nil {
-				fmt.Fprintf(os.Stderr, "mallocz: %v\n", err)
-				os.Exit(1)
-			}
-		}
-	}
-
-	var profiles []wsmalloc.HeapProfile
-	if alloc != nil {
-		profiles = alloc.HeapProfiles(*configName)
-		if design != "" {
-			profiles = alloc.HeapProfiles("")
-			for i := range profiles {
-				profiles[i].Design = design
-			}
-		}
-	} else {
-		profiles = machineProfiles
-		for i := range profiles {
-			if design != "" {
-				profiles[i].Design = design
-			} else {
-				profiles[i].Label = *configName
-			}
-		}
-	}
-	if len(profiles) > 0 {
-		if *metricsOut != "" {
-			writeFile(*metricsOut+".heapz", func(w io.Writer) error {
-				return wsmalloc.WriteHeapProfiles(w, profiles...)
-			})
-			writeFile(*metricsOut+".heapz.json", func(w io.Writer) error {
-				return wsmalloc.WriteHeapProfilesJSON(w, profiles...)
-			})
-		} else {
-			fmt.Println()
-			if err := wsmalloc.WriteHeapProfiles(os.Stdout, profiles...); err != nil {
-				fmt.Fprintf(os.Stderr, "heapz: %v\n", err)
-				os.Exit(1)
-			}
-		}
-	}
-	if *pageheapzOn {
-		z := alloc.PageHeapZ()
-		if *metricsOut != "" {
-			writeFile(*metricsOut+".pageheapz", func(w io.Writer) error {
-				return wsmalloc.WritePageHeapZ(w, z)
-			})
-		} else {
-			fmt.Println()
-			if err := wsmalloc.WritePageHeapZ(os.Stdout, z); err != nil {
-				fmt.Fprintf(os.Stderr, "pageheapz: %v\n", err)
-				os.Exit(1)
-			}
-		}
-	}
-
-	if *serveAddr != "" {
-		serveStart := time.Now()
-		ep := wsmalloc.TelemetryEndpoints{
-			Snapshots: func() []wsmalloc.TelemetrySnapshot { return snaps },
-			Trace:     func() wsmalloc.TraceDump { return trace },
-			PageHeapz: func(w io.Writer, format string) error {
-				z := alloc.PageHeapZ()
-				if format == "json" {
-					return wsmalloc.WritePageHeapZJSON(w, z)
-				}
-				return wsmalloc.WritePageHeapZ(w, z)
-			},
-			// /statusz identifies the finished run this one-shot server is
-			// exposing; /healthz reports "ok" for as long as it serves.
-			Status: func() any {
-				return map[string]any{
-					"service":       "wsmalloc-sim",
-					"uptime_sec":    time.Since(serveStart).Seconds(),
-					"profile":       profile.Name,
-					"config":        runLabel,
-					"seed":          *seed,
-					"duration_ms":   *durationMs,
-					"ops":           res.Ops,
-					"frees":         res.Frees,
-					"heap_profiles": len(profiles),
-				}
-			},
-			Health: func() error { return nil },
-		}
-		if len(profiles) > 0 {
-			ep.Heapz = func(w io.Writer, format string) error {
-				if format == "json" {
-					return wsmalloc.WriteHeapProfilesJSON(w, profiles...)
-				}
-				return wsmalloc.WriteHeapProfiles(w, profiles...)
-			}
-		}
-		fmt.Printf("serving /metricsz, /tracez, /heapz, /pageheapz, /statusz and /healthz on %s\n", *serveAddr)
-		if err := wsmalloc.ServeTelemetry(*serveAddr, ep); err != nil {
-			fmt.Fprintf(os.Stderr, "serve: %v\n", err)
-			os.Exit(1)
-		}
+		fmt.Fprintf(w, "    %-16s %6.2f%%\n", k, shares[k]*100)
 	}
 }
 
-// writeFile writes one render to path, reporting and exiting on failure.
-func writeFile(path string, render func(io.Writer) error) {
-	f, err := os.Create(path)
-	if err == nil {
-		err = render(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "write %s: %v\n", path, err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s\n", path)
-}
-
-func f(b int64) float64 { return float64(b) / (1 << 20) }
+func mib(b int64) float64 { return float64(b) / (1 << 20) }
 
 func pct(a, b int64) float64 {
 	if b == 0 {

@@ -120,22 +120,26 @@ type Config struct {
 // top. Telemetry, heap profiling, sanitizer and fault injection stay at
 // their zero (disabled) values — callers opt in per run.
 func ConfigForDesign(d policy.DesignPoint) (Config, error) {
-	t, err := d.Tiers()
-	if err != nil {
-		return Config{}, err
-	}
 	return Config{
-		PerCPU:                  t.PerCPU,
-		Transfer:                t.Transfer,
-		CFL:                     t.CFL,
-		PageHeap:                t.PageHeap,
 		Latency:                 DefaultTierLatency(),
 		SampleIntervalBytes:     2 << 20,
 		PlunderIntervalNs:       10e6,
 		ReleaseIntervalNs:       5e6,
 		ReleaseBytesPerInterval: 64 << 20,
 		ReleaseSlackFraction:    0.10,
-	}, nil
+	}.WithDesign(d)
+}
+
+// WithDesign returns a copy of c running design point d: d's tier
+// policies replace c's tier configurations, and every other field
+// (telemetry, heap profiling, sanitizer, fault plan, constants) is kept.
+func (c Config) WithDesign(d policy.DesignPoint) (Config, error) {
+	t, err := d.Tiers()
+	if err != nil {
+		return Config{}, err
+	}
+	c.PerCPU, c.Transfer, c.CFL, c.PageHeap = t.PerCPU, t.Transfer, t.CFL, t.PageHeap
+	return c, nil
 }
 
 // mustConfigForDesign builds a config for a design point that is known

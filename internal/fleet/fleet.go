@@ -166,19 +166,17 @@ func RunMachine(m Machine, cfg core.Config, duration int64) RunMetrics {
 	return RunMachineOpts(m, cfg, opts)
 }
 
-// RunMachineOpts executes one machine run with explicit workload options.
-// Time-averaged telemetry comes from periodic snapshots: end-of-run
-// snapshots are dominated by wherever the diurnal phase happens to stop.
+// RunMachineOpts executes one machine run with explicit workload options:
+// RunMachineLifecycle with no checkpoint, churn or OOM restarts, which
+// never halts or fails. Time-averaged telemetry comes from periodic
+// snapshots: end-of-run snapshots are dominated by wherever the diurnal
+// phase happens to stop.
 func RunMachineOpts(m Machine, cfg core.Config, opts workload.Options) RunMetrics {
-	topo := topology.New(m.Platform)
-	alloc := core.New(cfg, topo)
-
-	var ac runAccum
-	opts.SnapshotEveryNs = opts.Duration / 50
-	opts.Snapshot = func(now int64) { ac.observe(alloc) }
-
-	res := workload.Run(m.App, alloc, opts)
-	return finishRunMetrics(m, alloc, res, &ac)
+	rm, _, _, err := RunMachineLifecycle(m, cfg, opts, LifecycleOptions{})
+	if err != nil {
+		panic(err) // unreachable: only checkpoints and restarts fail
+	}
+	return rm
 }
 
 // Row is one table row of an A/B experiment, matching the columns of the
@@ -385,22 +383,11 @@ func DefaultABOptions() ABOptions {
 	}
 }
 
-// runMachineOpts and runMachineLifecycle are the machine-run entry
-// points used by A/B experiments. They are variables so tests can swap
-// in a failing machine and assert the engine propagates the failure
-// with the machine's seed attached.
-var (
-	runMachineOpts      = RunMachineOpts
-	runMachineLifecycle = RunMachineLifecycle
-)
-
-// lifecycleEnabled reports whether the experiment needs the
-// checkpoint/lifecycle machine-run path. When false, runs go through
-// the legacy path — which the lifecycle path reproduces bit-identically
-// when no kill or churn fires, so the two never disagree on results.
-func lifecycleEnabled(opts ABOptions) bool {
-	return opts.Checkpoint.enabled() || opts.Churn > 0 || opts.RestartOnOOM
-}
+// runMachineLifecycle is the machine-run entry point of A/B
+// experiments. It is a variable so tests can swap in a failing machine
+// and assert the engine propagates the failure with the machine's seed
+// attached.
+var runMachineLifecycle = RunMachineLifecycle
 
 // sampleIndices picks the enrolled machines for an experiment: n
 // distinct indices strided evenly across the fleet, where n is
@@ -474,9 +461,10 @@ func lifecycleFor(opts ABOptions, arm, design string, attempt int) LifecycleOpti
 // runPair executes one machine's paired control/experiment runs and
 // derives its deltas. It touches no Fleet state besides the (read-only)
 // machine descriptor, which is what makes the A/B loop embarrassingly
-// parallel. With lifecycle options enabled it checkpoints, restarts and
-// resumes each arm; a KillAtFrac halt returns halted=true with both
-// arms checkpointed.
+// parallel. Both arms run through RunMachineLifecycle: with checkpoint,
+// churn or OOM-restart options set it checkpoints, restarts and resumes
+// each arm, and a KillAtFrac halt returns halted=true with both arms
+// checkpointed.
 func runPair(m Machine, control, experiment core.Config, opts ABOptions, attempt int) (machineOutcome, error) {
 	wopts := workload.DefaultOptions(m.Seed)
 	wopts.Duration = opts.DurationNs
@@ -506,32 +494,22 @@ func runPair(m Machine, control, experiment core.Config, opts ABOptions, attempt
 		cfgC.HeapProfile, cfgE.HeapProfile = hcfg, hcfg
 	}
 	var out machineOutcome
-	var c, e RunMetrics
-	if lifecycleEnabled(opts) {
-		var lsC, lsE LifecycleStats
-		var halted bool
-		var err error
-		c, lsC, halted, err = runMachineLifecycle(m, cfgC, wopts, lifecycleFor(opts, "control", opts.ControlDesign, attempt))
-		if err != nil {
-			return out, err
-		}
-		out.halted = halted
-		e, lsE, halted, err = runMachineLifecycle(m, cfgE, woptsE, lifecycleFor(opts, "experiment", opts.ExperimentDesign, attempt))
-		if err != nil {
-			return out, err
-		}
-		out.halted = out.halted || halted
-		out.chaos.Lifecycle.ChurnKills = lsC.ChurnKills + lsE.ChurnKills
-		out.chaos.Lifecycle.OOMKills = lsC.OOMKills + lsE.OOMKills
-		out.chaos.Lifecycle.Restarts = lsC.Restarts + lsE.Restarts
-		if out.halted {
-			// No metrics exist for a half-finished run; the resume pass
-			// produces them.
-			return out, nil
-		}
-	} else {
-		c = runMachineOpts(m, cfgC, wopts)
-		e = runMachineOpts(m, cfgE, woptsE)
+	c, lsC, haltedC, err := runMachineLifecycle(m, cfgC, wopts, lifecycleFor(opts, "control", opts.ControlDesign, attempt))
+	if err != nil {
+		return out, err
+	}
+	e, lsE, haltedE, err := runMachineLifecycle(m, cfgE, woptsE, lifecycleFor(opts, "experiment", opts.ExperimentDesign, attempt))
+	if err != nil {
+		return out, err
+	}
+	out.halted = haltedC || haltedE
+	out.chaos.Lifecycle.ChurnKills = lsC.ChurnKills + lsE.ChurnKills
+	out.chaos.Lifecycle.OOMKills = lsC.OOMKills + lsE.OOMKills
+	out.chaos.Lifecycle.Restarts = lsC.Restarts + lsE.Restarts
+	if out.halted {
+		// No metrics exist for a half-finished run; the resume pass
+		// produces them.
+		return out, nil
 	}
 	out.telC, out.telE = c.Telemetry, e.Telemetry
 	out.hpC, out.hpE = c.HeapProfiles, e.HeapProfiles

@@ -69,10 +69,6 @@ type LifecycleOptions struct {
 // and looping forever would hide it.
 const DefaultMaxRestarts = 16
 
-func (lc LifecycleOptions) enabled() bool {
-	return lc.Checkpoint.enabled() || lc.Churn > 0 || lc.RestartOnOOM
-}
-
 func (lc LifecycleOptions) maxRestarts() int {
 	if lc.MaxRestarts > 0 {
 		return lc.MaxRestarts
@@ -116,7 +112,7 @@ func (e *MachineError) Error() string {
 
 func (e *MachineError) Unwrap() error { return e.Err }
 
-// runAccum is the time-averaging state RunMachineOpts keeps across
+// runAccum is the time-averaging state a machine run keeps across
 // snapshot callbacks. It is part of the machine's resumable state: a
 // resumed run must produce the same averages as an uninterrupted one.
 type runAccum struct {
@@ -276,16 +272,8 @@ func RunMachineLifecycle(m Machine, cfg core.Config, opts workload.Options,
 		}
 	}
 
-	// armHalt points the driver at the earliest pending kill.
-	armHalt := func() {
-		h := pendingChurn
-		if killAt > 0 && (h == 0 || killAt < h) {
-			h = killAt
-		}
-		opts.HaltAtNs = h
-	}
-	armHalt()
 	d = workload.NewDriver(m.App, alloc, opts)
+	armHaltDriver(d, pendingChurn, killAt)
 
 	if lc.Checkpoint.enabled() && lc.Checkpoint.Resume {
 		if blob, err := os.ReadFile(ckptPath); err == nil {
@@ -336,7 +324,7 @@ func RunMachineLifecycle(m Machine, cfg core.Config, opts workload.Options,
 	return rm, ls, false, nil
 }
 
-// armHaltDriver mirrors armHalt for an already-built driver.
+// armHaltDriver points the driver at the earliest pending kill.
 func armHaltDriver(d *workload.Driver, pendingChurn, killAt int64) {
 	h := pendingChurn
 	if killAt > 0 && (h == 0 || killAt < h) {
@@ -345,8 +333,7 @@ func armHaltDriver(d *workload.Driver, pendingChurn, killAt int64) {
 	d.SetHaltAt(h)
 }
 
-// finishRunMetrics derives the RunMetrics summary from a completed run,
-// shared by the legacy and lifecycle paths so both report identically.
+// finishRunMetrics derives the RunMetrics summary from a completed run.
 func finishRunMetrics(m Machine, alloc *core.Allocator, res workload.Result, ac *runAccum) RunMetrics {
 	st := res.Stats
 	rm := RunMetrics{App: m.App.Name, Result: res}
