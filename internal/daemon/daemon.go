@@ -154,11 +154,11 @@ func DefaultConfig(seed uint64) Config {
 // is part of the checkpoint format and of the byte-determinism
 // contract.
 var sketchNames = []string{
-	"machine_tick_ops",          // per-machine ops completed in one tick
-	"machine_malloc_ns_per_op",  // per-machine mean malloc cost over one tick
-	"machine_heap_bytes",        // per-machine mapped heap at tick end
-	"machine_frag_ppm",          // per-machine fragmentation ratio, ppm
-	"machine_hugepage_ppm",      // per-machine hugepage coverage, ppm
+	"machine_tick_ops",         // per-machine ops completed in one tick
+	"machine_malloc_ns_per_op", // per-machine mean malloc cost over one tick
+	"machine_heap_bytes",       // per-machine mapped heap at tick end
+	"machine_frag_ppm",         // per-machine fragmentation ratio, ppm
+	"machine_hugepage_ppm",     // per-machine hugepage coverage, ppm
 }
 
 // machine is one enrolled simulated machine: a persistent allocator and
@@ -243,11 +243,11 @@ type Daemon struct {
 	introspectWanted atomic.Bool
 
 	// Admin surface: handlers set these; the tick loop consumes them.
-	paused    atomic.Bool
-	forceCkpt atomic.Bool
-	quitOnce  sync.Once
-	quitCh    chan struct{}
-	adminMu   sync.Mutex
+	paused        atomic.Bool
+	forceCkpt     atomic.Bool
+	quitOnce      sync.Once
+	quitCh        chan struct{}
+	adminMu       sync.Mutex
 	pendingInject struct {
 		ticks int
 		frac  float64
@@ -261,41 +261,41 @@ type Daemon struct {
 // published is everything the HTTP pages serve, rebuilt at the end of
 // every tick so scrapes never touch live simulation state.
 type published struct {
-	snap     telemetry.Snapshot
-	sketches []telemetry.SketchValue
-	heapz    []heapprof.Profile
-	pageheap core.PageHeapZ
+	snap        telemetry.Snapshot
+	sketches    []telemetry.SketchValue
+	heapz       []heapprof.Profile
+	pageheap    core.PageHeapZ
 	hasPageheap bool
-	trace    telemetry.TraceDump
-	status   Status
+	trace       telemetry.TraceDump
+	status      Status
 }
 
 // Status is the /statusz document.
 type Status struct {
-	Service            string                  `json:"service"`
-	UptimeSec          float64                 `json:"uptime_sec"`
-	Tick               int64                   `json:"tick"`
-	VirtualNs          int64                   `json:"virtual_ns"`
-	VirtualSec         float64                 `json:"virtual_sec"`
-	Design             string                  `json:"design"`
-	Machines           int                     `json:"machines"`
-	MachinesStalled    int                     `json:"machines_stalled"`
-	Restarts           int64                   `json:"restarts"`
-	ChurnKills         int64                   `json:"churn_kills"`
-	OOMKills           int64                   `json:"oom_kills"`
-	BurstKills         int64                   `json:"burst_kills"`
-	Paused             bool                    `json:"paused"`
-	BurstTicksLeft     int                     `json:"burst_ticks_left"`
-	LastCheckpointTick int64                   `json:"last_checkpoint_tick"`
-	CheckpointLagTicks int64                   `json:"checkpoint_lag_ticks"`
-	AlertsTotal        int64                   `json:"alerts_total"`
-	AlertsActive       int                     `json:"alerts_active"`
-	SeriesRetained     int                     `json:"series_retained"`
-	SeriesTotal        int64                   `json:"series_total"`
-	SeriesDropped      int64                   `json:"series_dropped"`
-	GWPEnabled         bool                    `json:"gwp_enabled,omitempty"`
-	GWPWindowsTotal    int64                   `json:"gwp_windows_total,omitempty"`
-	GWPLastWindow      string                  `json:"gwp_last_window,omitempty"`
+	Service            string  `json:"service"`
+	UptimeSec          float64 `json:"uptime_sec"`
+	Tick               int64   `json:"tick"`
+	VirtualNs          int64   `json:"virtual_ns"`
+	VirtualSec         float64 `json:"virtual_sec"`
+	Design             string  `json:"design"`
+	Machines           int     `json:"machines"`
+	MachinesStalled    int     `json:"machines_stalled"`
+	Restarts           int64   `json:"restarts"`
+	ChurnKills         int64   `json:"churn_kills"`
+	OOMKills           int64   `json:"oom_kills"`
+	BurstKills         int64   `json:"burst_kills"`
+	Paused             bool    `json:"paused"`
+	BurstTicksLeft     int     `json:"burst_ticks_left"`
+	LastCheckpointTick int64   `json:"last_checkpoint_tick"`
+	CheckpointLagTicks int64   `json:"checkpoint_lag_ticks"`
+	AlertsTotal        int64   `json:"alerts_total"`
+	AlertsActive       int     `json:"alerts_active"`
+	SeriesRetained     int     `json:"series_retained"`
+	SeriesTotal        int64   `json:"series_total"`
+	SeriesDropped      int64   `json:"series_dropped"`
+	GWPEnabled         bool    `json:"gwp_enabled,omitempty"`
+	GWPWindowsTotal    int64   `json:"gwp_windows_total,omitempty"`
+	GWPLastWindow      string  `json:"gwp_last_window,omitempty"`
 	// ActiveDesign is the design point in force fleet-wide (the last
 	// promoted rollout candidate, or Design before any promotion); the
 	// Rollout* fields mirror the in-flight staged rollout, if any.

@@ -171,9 +171,9 @@ func New(cfg Config) *Profiler {
 		return nil
 	}
 	p := &Profiler{
-		cfg:      cfg,
-		r:        rng.New(cfg.Seed ^ 0x6865617070726f66), // "heapprof"
-		interval: float64(cfg.interval()),
+		cfg:       cfg,
+		r:         rng.New(cfg.Seed ^ 0x6865617070726f66), // "heapprof"
+		interval:  float64(cfg.interval()),
 		live:      make(map[uint64]liveSample),
 		cum:       make(map[siteKey]siteAcc),
 		classLife: make(map[int]classLifeAcc),

@@ -1,5 +1,7 @@
 package mem
 
+import "math/bits"
+
 // PageMap is a three-level radix tree from PageID to a value of type T,
 // mirroring TCMalloc's PageMap that resolves any address to its owning
 // span during free(). With a 48-bit address space and 13-bit pages there
@@ -48,9 +50,9 @@ func pmIndices(p PageID) (int, int, int) {
 	return root, mid, leaf
 }
 
-// Set records v as the value for page p.
-func (m *PageMap[T]) Set(p PageID, v T) {
-	ri, mi, li := pmIndices(p)
+// leafFor returns the leaf holding root/mid slot (ri, mi), allocating the
+// path to it when absent.
+func (m *PageMap[T]) leafFor(ri, mi int) *pmLeaf[T] {
 	mid := m.root[ri]
 	if mid == nil {
 		mid = &pmMid[T]{leaves: make([]*pmLeaf[T], pmMidSize)}
@@ -61,6 +63,13 @@ func (m *PageMap[T]) Set(p PageID, v T) {
 		leaf = &pmLeaf[T]{}
 		mid.leaves[mi] = leaf
 	}
+	return leaf
+}
+
+// Set records v as the value for page p.
+func (m *PageMap[T]) Set(p PageID, v T) {
+	ri, mi, li := pmIndices(p)
+	leaf := m.leafFor(ri, mi)
 	word, bit := li/64, uint(li%64)
 	if leaf.set[word]&(1<<bit) == 0 {
 		leaf.set[word] |= 1 << bit
@@ -69,10 +78,41 @@ func (m *PageMap[T]) Set(p PageID, v T) {
 	leaf.values[li] = v
 }
 
-// SetRange records v for n consecutive pages starting at p.
+// leafSpan returns the bits of set word wi that lie within leaf slots
+// [lo, hi).
+func leafSpan(wi, lo, hi int) uint64 {
+	m := ^uint64(0)
+	if lo > wi*64 {
+		m <<= uint(lo - wi*64)
+	}
+	if hi < wi*64+64 {
+		m &= 1<<uint(hi-wi*64) - 1
+	}
+	return m
+}
+
+// SetRange records v for n consecutive pages starting at p. It works one
+// leaf at a time: one root/mid lookup, a value fill, and a word-mask
+// update of the set bits whose popcount delta keeps Len exact.
 func (m *PageMap[T]) SetRange(p PageID, n int, v T) {
-	for i := 0; i < n; i++ {
-		m.Set(p+PageID(i), v)
+	if n <= 0 {
+		return
+	}
+	pmIndices(p + PageID(n-1)) // panics on a range past the address space before any page changes
+	for n > 0 {
+		ri, mi, lo := pmIndices(p)
+		hi := min(lo+n, pmLeafSize)
+		leaf := m.leafFor(ri, mi)
+		for i := lo; i < hi; i++ {
+			leaf.values[i] = v
+		}
+		for wi := lo / 64; wi <= (hi-1)/64; wi++ {
+			mask := leafSpan(wi, lo, hi)
+			m.count += int64(bits.OnesCount64(mask &^ leaf.set[wi]))
+			leaf.set[wi] |= mask
+		}
+		p += PageID(hi - lo)
+		n -= hi - lo
 	}
 }
 
@@ -115,10 +155,29 @@ func (m *PageMap[T]) Clear(p PageID) {
 	}
 }
 
-// ClearRange removes mappings for n consecutive pages starting at p.
+// ClearRange removes mappings for n consecutive pages starting at p,
+// one leaf at a time; pages that are not mapped are skipped.
 func (m *PageMap[T]) ClearRange(p PageID, n int) {
-	for i := 0; i < n; i++ {
-		m.Clear(p + PageID(i))
+	if n <= 0 {
+		return
+	}
+	pmIndices(p + PageID(n-1)) // panics on a range past the address space before any page changes
+	for n > 0 {
+		ri, mi, lo := pmIndices(p)
+		hi := min(lo+n, pmLeafSize)
+		p += PageID(hi - lo)
+		n -= hi - lo
+		mid := m.root[ri]
+		if mid == nil || mid.leaves[mi] == nil {
+			continue
+		}
+		leaf := mid.leaves[mi]
+		for wi := lo / 64; wi <= (hi-1)/64; wi++ {
+			mask := leafSpan(wi, lo, hi)
+			m.count -= int64(bits.OnesCount64(mask & leaf.set[wi]))
+			leaf.set[wi] &^= mask
+		}
+		clear(leaf.values[lo:hi]) // unmapped slots already hold the zero value
 	}
 }
 

@@ -20,6 +20,10 @@ func (b *bitmap256) set(i int)      { b[i>>6] |= 1 << uint(i&63) }
 func (b *bitmap256) clear(i int)    { b[i>>6] &^= 1 << uint(i&63) }
 func (b *bitmap256) get(i int) bool { return b[i>>6]&(1<<uint(i&63)) != 0 }
 
+// The bit-range helpers below work over any word slice: bitmap256 (one
+// hugepage) and region (one HugeRegion) both keep their occupancy as
+// little-endian bit words.
+
 // rangeMask returns the bits of word wi covered by [start, start+n).
 func rangeMask(wi, start, n int) uint64 {
 	lo, hi := wi<<6, wi<<6+64
@@ -39,51 +43,60 @@ func rangeMask(wi, start, n int) uint64 {
 	return m
 }
 
-func (b *bitmap256) setRange(start, n int) {
+// setRange sets bits [start, start+n) of words.
+func setRange(words []uint64, start, n int) {
 	for wi := start >> 6; wi <= (start+n-1)>>6; wi++ {
-		b[wi] |= rangeMask(wi, start, n)
+		words[wi] |= rangeMask(wi, start, n)
 	}
 }
 
-func (b *bitmap256) clearRange(start, n int) {
+// clearRange clears bits [start, start+n) of words.
+func clearRange(words []uint64, start, n int) {
 	for wi := start >> 6; wi <= (start+n-1)>>6; wi++ {
-		b[wi] &^= rangeMask(wi, start, n)
+		words[wi] &^= rangeMask(wi, start, n)
 	}
 }
 
-// count returns the number of set bits.
-func (b *bitmap256) count() int {
-	return bits.OnesCount64(b[0]) + bits.OnesCount64(b[1]) +
-		bits.OnesCount64(b[2]) + bits.OnesCount64(b[3])
-}
-
-// countRange returns the set bits within [start, start+n).
-func (b *bitmap256) countRange(start, n int) int {
+// countRange returns the set bits of words within [start, start+n).
+func countRange(words []uint64, start, n int) int {
 	c := 0
 	for wi := start >> 6; wi <= (start+n-1)>>6; wi++ {
-		c += bits.OnesCount64(b[wi] & rangeMask(wi, start, n))
+		c += bits.OnesCount64(words[wi] & rangeMask(wi, start, n))
 	}
 	return c
 }
 
-// findFreeRun returns the index of the first run of n clear bits, or -1.
-// It walks set bits (gaps between them are the free runs) instead of
-// testing all 256 pages one by one.
-func (b *bitmap256) findFreeRun(n int) int {
-	prev := -1 // index of the last set bit seen
-	for wi := 0; wi < 4; wi++ {
-		w := b[wi]
+// popcount returns the number of set bits in words.
+func popcount(words []uint64) int {
+	c := 0
+	for _, w := range words {
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
+
+// findFreeRun returns the index of the first run of n clear bits in
+// words, or -1. It walks set bits (the gaps between them are the free
+// runs) instead of testing every bit, and jumps a whole run of set bits
+// at once, so its cost follows the number of runs, not of bits.
+func findFreeRun(words []uint64, n int) int {
+	free := 0 // first index of the current clear run
+	for wi, w := range words {
+		base := wi << 6
 		for w != 0 {
-			i := wi<<6 + bits.TrailingZeros64(w)
-			if i-prev-1 >= n {
-				return prev + 1
+			i := base + bits.TrailingZeros64(w) // next set bit
+			if i-free >= n {
+				return free
 			}
-			prev = i
-			w &= w - 1
+			// Skip the run of set bits at i, up to the end of this word.
+			k := uint(i - base)
+			ones := bits.TrailingZeros64(^(w >> k))
+			w &^= 1<<(k+uint(ones)) - 1 // a shift of 64 clears the whole word
+			free = i + ones
 		}
 	}
-	if 256-prev-1 >= n {
-		return prev + 1
+	if len(words)<<6-free >= n {
+		return free
 	}
 	return -1
 }

@@ -16,48 +16,48 @@ func TestBitmapSetClearGet(t *testing.T) {
 			t.Fatalf("bit %d not set", i)
 		}
 	}
-	if b.count() != 4 {
-		t.Fatalf("count = %d", b.count())
+	if popcount(b[:]) != 4 {
+		t.Fatalf("count = %d", popcount(b[:]))
 	}
 	b.clear(64)
-	if b.get(64) || b.count() != 3 {
+	if b.get(64) || popcount(b[:]) != 3 {
 		t.Fatal("clear failed")
 	}
 }
 
 func TestBitmapRanges(t *testing.T) {
 	var b bitmap256
-	b.setRange(10, 20)
-	if b.count() != 20 {
-		t.Fatalf("count = %d", b.count())
+	setRange(b[:], 10, 20)
+	if popcount(b[:]) != 20 {
+		t.Fatalf("count = %d", popcount(b[:]))
 	}
-	if b.countRange(0, 10) != 0 || b.countRange(10, 20) != 20 || b.countRange(5, 10) != 5 {
+	if countRange(b[:], 0, 10) != 0 || countRange(b[:], 10, 20) != 20 || countRange(b[:], 5, 10) != 5 {
 		t.Fatal("countRange wrong")
 	}
-	b.clearRange(15, 5)
-	if b.count() != 15 {
-		t.Fatalf("count after clearRange = %d", b.count())
+	clearRange(b[:], 15, 5)
+	if popcount(b[:]) != 15 {
+		t.Fatalf("count after clearRange = %d", popcount(b[:]))
 	}
 }
 
 func TestFindFreeRun(t *testing.T) {
 	var b bitmap256
-	if got := b.findFreeRun(256); got != 0 {
+	if got := findFreeRun(b[:], 256); got != 0 {
 		t.Fatalf("empty bitmap findFreeRun(256) = %d", got)
 	}
-	b.setRange(0, 100)
-	if got := b.findFreeRun(156); got != 100 {
+	setRange(b[:], 0, 100)
+	if got := findFreeRun(b[:], 156); got != 100 {
 		t.Fatalf("findFreeRun(156) = %d", got)
 	}
-	if got := b.findFreeRun(157); got != -1 {
+	if got := findFreeRun(b[:], 157); got != -1 {
 		t.Fatalf("findFreeRun(157) = %d, want -1", got)
 	}
-	b.setRange(150, 106)
+	setRange(b[:], 150, 106)
 	// Free gap now [100,150).
-	if got := b.findFreeRun(50); got != 100 {
+	if got := findFreeRun(b[:], 50); got != 100 {
 		t.Fatalf("findFreeRun(50) = %d", got)
 	}
-	if got := b.findFreeRun(51); got != -1 {
+	if got := findFreeRun(b[:], 51); got != -1 {
 		t.Fatalf("findFreeRun(51) = %d", got)
 	}
 }
@@ -67,12 +67,12 @@ func TestLongestFreeRun(t *testing.T) {
 	if b.longestFreeRun() != 256 {
 		t.Fatal("empty longest run")
 	}
-	b.setRange(0, 256)
+	setRange(b[:], 0, 256)
 	if b.longestFreeRun() != 0 {
 		t.Fatal("full longest run")
 	}
-	b.clearRange(10, 30)
-	b.clearRange(100, 45)
+	clearRange(b[:], 10, 30)
+	clearRange(b[:], 100, 45)
 	if got := b.longestFreeRun(); got != 45 {
 		t.Fatalf("longestFreeRun = %d", got)
 	}
@@ -92,7 +92,7 @@ func TestBitmapProperty(t *testing.T) {
 				shadow[i] = true
 			}
 		}
-		if b.count() != len(shadow) {
+		if popcount(b[:]) != len(shadow) {
 			return false
 		}
 		for i := 0; i < 256; i++ {
@@ -123,7 +123,7 @@ func TestBitmapProperty(t *testing.T) {
 					wantIdx = start
 				}
 			}
-			if b.findFreeRun(n) != wantIdx {
+			if findFreeRun(b[:], n) != wantIdx {
 				return false
 			}
 			lo := n - 1
@@ -133,7 +133,7 @@ func TestBitmapProperty(t *testing.T) {
 					cnt++
 				}
 			}
-			if b.countRange(lo, 256-lo) != cnt {
+			if countRange(b[:], lo, 256-lo) != cnt {
 				return false
 			}
 		}

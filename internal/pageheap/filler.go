@@ -239,7 +239,7 @@ func (f *Filler) AddDonated(h mem.HugePageID, leadingUsed int) {
 	t := f.newTracker()
 	t.id, t.donated, t.lastFreeNs = h, true, f.nowNs()
 	t.intact = f.os.IsIntact(h)
-	t.used.setRange(0, leadingUsed)
+	setRange(t.used[:], 0, leadingUsed)
 	t.usedCount = leadingUsed
 	t.longestFree = t.used.longestFreeRun()
 	f.byID[h] = t
@@ -275,21 +275,21 @@ func (f *Filler) Alloc(n int) (mem.PageID, bool) {
 }
 
 func (f *Filler) allocFrom(t *hpTracker, n int) mem.PageID {
-	idx := t.used.findFreeRun(n)
+	idx := findFreeRun(t.used[:], n)
 	if idx < 0 {
 		panic("pageheap: tracker listed with stale longest-free-range")
 	}
 	// Refault any subreleased pages inside the chosen run.
-	refault := t.released.countRange(idx, n)
+	refault := countRange(t.released[:], idx, n)
 	if refault > 0 {
 		f.os.Refault(t.id, refault)
-		t.released.clearRange(idx, n)
+		clearRange(t.released[:], idx, n)
 		t.releasedCount -= refault
 		f.refaults += int64(refault)
 		f.releasedPages -= int64(refault)
 	}
 	f.unlink(t)
-	t.used.setRange(idx, n)
+	setRange(t.used[:], idx, n)
 	t.usedCount += n
 	t.longestFree = t.used.longestFreeRun()
 	if t.intact {
@@ -323,11 +323,11 @@ func (f *Filler) Free(p mem.PageID, n int) {
 	if idx+n > mem.PagesPerHugePage {
 		panic("pageheap: free range crosses hugepage boundary")
 	}
-	if t.used.countRange(idx, n) != n {
+	if countRange(t.used[:], idx, n) != n {
 		panic("pageheap: freeing pages that are not allocated")
 	}
 	f.unlink(t)
-	t.used.clearRange(idx, n)
+	clearRange(t.used[:], idx, n)
 	t.usedCount -= n
 	t.lastFreeNs = f.nowNs()
 	f.usedPages -= int64(n)
@@ -477,12 +477,12 @@ func (f *Filler) CheckInvariants() []check.Violation {
 			vs = append(vs, check.Violationf("pageheap", check.KindStructure,
 				"filler tracker filed under %#x claims hugepage %#x", h.Addr(), t.id.Addr()))
 		}
-		if got := t.used.count(); got != t.usedCount {
+		if got := popcount(t.used[:]); got != t.usedCount {
 			vs = append(vs, check.Violationf("pageheap", check.KindAccounting,
 				"filler hugepage %#x counts %d used pages, bitmap holds %d",
 				h.Addr(), t.usedCount, got))
 		}
-		if got := t.released.count(); got != t.releasedCount {
+		if got := popcount(t.released[:]); got != t.releasedCount {
 			vs = append(vs, check.Violationf("pageheap", check.KindAccounting,
 				"filler hugepage %#x counts %d released pages, bitmap holds %d",
 				h.Addr(), t.releasedCount, got))

@@ -21,36 +21,12 @@ const regionPages = regionHugePages * mem.PagesPerHugePage
 // occupancy.
 type region struct {
 	start     mem.HugePageID
-	used      []uint64 // regionPages bits
+	used      [regionPages / 64]uint64 // one bit per page
 	usedCount int
 }
 
-func newRegion(start mem.HugePageID) *region {
-	return &region{start: start, used: make([]uint64, regionPages/64)}
-}
-
-func (r *region) get(i int) bool { return r.used[i>>6]&(1<<uint(i&63)) != 0 }
-func (r *region) set(i int)      { r.used[i>>6] |= 1 << uint(i&63) }
-func (r *region) clearBit(i int) { r.used[i>>6] &^= 1 << uint(i&63) }
 func (r *region) firstPage() mem.PageID {
 	return r.start.FirstPage()
-}
-
-// findFreeRun returns the first run of n free pages, or -1.
-func (r *region) findFreeRun(n int) int {
-	run, start := 0, 0
-	for i := 0; i < regionPages; i++ {
-		if r.get(i) {
-			run = 0
-			start = i + 1
-			continue
-		}
-		run++
-		if run == n {
-			return start
-		}
-	}
-	return -1
 }
 
 // HugeRegion packs allocations of one-to-several hugepages with large
@@ -85,12 +61,16 @@ func (h *HugeRegion) Alloc(n int) (mem.PageID, error) {
 	}
 	var target *region
 	idx := -1
-	// Densest-region-first keeps sparse regions drainable.
+	// Densest-region-first keeps sparse regions drainable: the region
+	// with the most used pages wins, the first in slice order on a tie.
+	// A region too full to hold n pages, or no denser than the current
+	// target, cannot change that choice, so only the rest are searched.
 	for _, r := range h.regions {
-		if i := r.findFreeRun(n); i >= 0 {
-			if target == nil || r.usedCount > target.usedCount {
-				target, idx = r, i
-			}
+		if regionPages-r.usedCount < n || (target != nil && r.usedCount <= target.usedCount) {
+			continue
+		}
+		if i := findFreeRun(r.used[:], n); i >= 0 {
+			target, idx = r, i
 		}
 	}
 	if target == nil {
@@ -98,16 +78,14 @@ func (h *HugeRegion) Alloc(n int) (mem.PageID, error) {
 		if err != nil {
 			return 0, err
 		}
-		target = newRegion(start)
+		target = &region{start: start}
 		h.regions = append(h.regions, target)
 		for i := 0; i < regionHugePages; i++ {
 			h.byHuge[start+mem.HugePageID(i)] = target
 		}
 		idx = 0
 	}
-	for i := idx; i < idx+n; i++ {
-		target.set(i)
-	}
+	setRange(target.used[:], idx, n)
 	target.usedCount += n
 	h.usedPages += int64(n)
 	h.allocs++
@@ -131,12 +109,10 @@ func (h *HugeRegion) Free(p mem.PageID, n int) {
 	if offset < 0 || offset+n > regionPages {
 		panic("pageheap: region free out of range")
 	}
-	for i := offset; i < offset+n; i++ {
-		if !r.get(i) {
-			panic("pageheap: region double free")
-		}
-		r.clearBit(i)
+	if countRange(r.used[:], offset, n) != n {
+		panic("pageheap: region double free")
 	}
+	clearRange(r.used[:], offset, n)
 	r.usedCount -= n
 	h.usedPages -= int64(n)
 	h.frees++
@@ -192,13 +168,7 @@ func (h *HugeRegion) CheckInvariants() []check.Violation {
 	var vs []check.Violation
 	var usedTotal int64
 	for _, r := range h.regions {
-		recount := 0
-		for j := 0; j < regionPages; j++ {
-			if r.get(j) {
-				recount++
-			}
-		}
-		if recount != r.usedCount {
+		if recount := popcount(r.used[:]); recount != r.usedCount {
 			vs = append(vs, check.Violationf("pageheap", check.KindAccounting,
 				"region at %#x counts %d used pages, bitmap holds %d",
 				r.start.Addr(), r.usedCount, recount))

@@ -94,8 +94,8 @@ func (p *PageHeap) SetClock(fn func() int64) {
 // New creates a pageheap over the simulated OS.
 func New(o *mem.OS, cfg Config) *PageHeap {
 	p := &PageHeap{
-		os:   o,
-		cfg:  cfg,
+		os:  o,
+		cfg: cfg,
 		// Sized for the thousands of concurrently-live placements a
 		// steady-state machine holds, so the hot Alloc path is not
 		// repeatedly growing (and rehashing) the table from scratch.

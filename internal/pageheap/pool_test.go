@@ -36,7 +36,7 @@ func TestTrackerPoolRecyclesDrainedTrackers(t *testing.T) {
 	if t2 != tracked {
 		t.Fatal("AddHugePage allocated a fresh tracker instead of recycling")
 	}
-	if t2.usedCount != 0 || t2.releasedCount != 0 || t2.used.count() != 0 || !t2.intact {
+	if t2.usedCount != 0 || t2.releasedCount != 0 || popcount(t2.used[:]) != 0 || !t2.intact {
 		t.Fatalf("recycled tracker state not reset: %+v", t2)
 	}
 	if vs := f.CheckInvariants(); len(vs) != 0 {

@@ -50,7 +50,7 @@ func decodeTracker(d *snapshot.Decoder) *hpTracker {
 	if d.Err() != nil {
 		return nil
 	}
-	if t.used.count() != t.usedCount || t.released.count() != t.releasedCount ||
+	if popcount(t.used[:]) != t.usedCount || popcount(t.released[:]) != t.releasedCount ||
 		t.used.longestFreeRun() != t.longestFree {
 		d.Fail("pageheap: filler tracker %#x counters disagree with bitmaps", t.id.Addr())
 		return nil
@@ -179,7 +179,7 @@ func (h *HugeRegion) DecodeState(d *snapshot.Decoder) {
 	h.frees = d.I64()
 	n := d.Len(8 + regionPages/8 + 8)
 	for i := 0; i < n; i++ {
-		r := newRegion(mem.HugePageID(d.U64()))
+		r := &region{start: mem.HugePageID(d.U64())}
 		for j := range r.used {
 			r.used[j] = d.U64()
 		}
@@ -187,13 +187,7 @@ func (h *HugeRegion) DecodeState(d *snapshot.Decoder) {
 		if d.Err() != nil {
 			return
 		}
-		recount := 0
-		for j := 0; j < regionPages; j++ {
-			if r.get(j) {
-				recount++
-			}
-		}
-		if recount != r.usedCount {
+		if popcount(r.used[:]) != r.usedCount {
 			d.Fail("pageheap: region %#x counter disagrees with bitmap", r.start.Addr())
 			return
 		}

@@ -138,10 +138,10 @@ func baseTiers() TierConfigs {
 func init() {
 	// percpu: front-end capacity policies (§4.1).
 	Register(Policy{Tier: TierPerCPU, Name: "static",
-		Desc: "fixed 3 MiB per-vCPU caches, no resizing (legacy)",
+		Desc:  "fixed 3 MiB per-vCPU caches, no resizing (legacy)",
 		Apply: func(t *TierConfigs) { t.PerCPU = percpu.StaticConfig() }})
 	Register(Policy{Tier: TierPerCPU, Name: "hetero",
-		Desc: "top-K miss-window capacity stealing at half the budget (paper §4.1)",
+		Desc:  "top-K miss-window capacity stealing at half the budget (paper §4.1)",
 		Apply: func(t *TierConfigs) { t.PerCPU = percpu.HeterogeneousConfig() }})
 	Register(Policy{Tier: TierPerCPU, Name: "ewma",
 		Desc: "capacity stealing ranked by EWMA-smoothed misses (new)",
@@ -153,10 +153,10 @@ func init() {
 
 	// tc: middle-tier routing policies (§4.2).
 	Register(Policy{Tier: TierTC, Name: "central",
-		Desc: "one shared transfer cache (legacy)",
+		Desc:  "one shared transfer cache (legacy)",
 		Apply: func(t *TierConfigs) { t.Transfer = transfercache.DefaultConfig() }})
 	Register(Policy{Tier: TierTC, Name: "nuca",
-		Desc: "per-LLC-domain caches over the shared fallback (paper §4.2)",
+		Desc:  "per-LLC-domain caches over the shared fallback (paper §4.2)",
 		Apply: func(t *TierConfigs) { t.Transfer.NUCAAware = true }})
 	Register(Policy{Tier: TierTC, Name: "pressure",
 		Desc: "NUCA with overflow frees biased to the least-full sibling domain (new)",
@@ -167,10 +167,10 @@ func init() {
 
 	// cfl: span-selection policies (§4.3).
 	Register(Policy{Tier: TierCFL, Name: "legacy",
-		Desc: "singleton span list, front-of-list allocation (legacy)",
+		Desc:  "singleton span list, front-of-list allocation (legacy)",
 		Apply: func(t *TierConfigs) { t.CFL = centralfreelist.LegacyConfig() }})
 	Register(Policy{Tier: TierCFL, Name: "prio8",
-		Desc: "L=8 occupancy lists, fullest-first allocation (paper §4.3)",
+		Desc:  "L=8 occupancy lists, fullest-first allocation (paper §4.3)",
 		Apply: func(t *TierConfigs) { t.CFL = centralfreelist.DefaultConfig() }})
 	Register(Policy{Tier: TierCFL, Name: "bestfit",
 		Desc: "occupancy lists with lowest-address span within the fullest bucket (new)",
@@ -183,10 +183,10 @@ func init() {
 	// (§4.4). Applied last: its policies may install a classifier on the
 	// CFL configuration.
 	Register(Policy{Tier: TierFiller, Name: "none",
-		Desc: "lifetime-agnostic filler (legacy)",
+		Desc:  "lifetime-agnostic filler (legacy)",
 		Apply: func(t *TierConfigs) {}})
 	Register(Policy{Tier: TierFiller, Name: "capacity",
-		Desc: "lifetime-aware filler, capacity-threshold C=16 classifier (paper §4.4)",
+		Desc:  "lifetime-aware filler, capacity-threshold C=16 classifier (paper §4.4)",
 		Apply: func(t *TierConfigs) { t.PageHeap.LifetimeAware = true }})
 	Register(Policy{Tier: TierFiller, Name: "heapprof",
 		Desc: "lifetime-aware filler steered by sampled heap-profile lifetime decades (new)",

@@ -1,11 +1,14 @@
 #!/bin/sh
 # verify.sh — the repo's full verification gate.
 #
-# Runs vet, build, the unit/property tests under the race detector
-# (which covers the parallel fleet/experiment execution engine, its
+# Runs a gofmt check (any file gofmt -l lists fails the gate), vet,
+# build, the unit/property tests under the race detector (which covers
+# the parallel fleet/experiment execution engine, its
 # determinism-equivalence tests, and the heap-profiler tests), a short
 # fuzz smoke on the fuzz targets (size classes, alloc/free, the profdiff
-# parser, the profile-warehouse codec, the checkpoint snapshot codec), a benchmark regression smoke (cmd/benchgate gates the fleet
+# parser, the profile-warehouse codec, the checkpoint snapshot codec, the
+# HugeRegion placement against its bit-at-a-time reference), a
+# benchmark regression smoke (cmd/benchgate gates the fleet
 # A/B, nil-sink telemetry, hot-loop, and daemon-tick throughput against
 # the committed bench_smoke baseline in BENCH_fleet.json, failing on a
 # >10% drop, and pins the daemon's observability overhead — observed vs
@@ -39,6 +42,14 @@ cd "$(dirname "$0")/.."
 
 FUZZTIME="${1:-5s}"
 
+echo "==> gofmt -l ."
+UNFORMATTED="$(gofmt -l .)"
+if [ -n "$UNFORMATTED" ]; then
+    echo "gofmt: these files need formatting:" >&2
+    echo "$UNFORMATTED" >&2
+    exit 1
+fi
+
 echo "==> go vet ./..."
 go vet ./...
 
@@ -57,6 +68,7 @@ go test ./internal/policy/ -run '^$' -fuzz FuzzDesignPointParse -fuzztime "$FUZZ
 go test ./internal/gwp/ -run '^$' -fuzz FuzzWindowDecode -fuzztime "$FUZZTIME"
 go test ./internal/snapshot/ -run '^$' -fuzz FuzzDecode -fuzztime "$FUZZTIME"
 go test ./internal/snapshot/ -run '^$' -fuzz FuzzRoundTrip -fuzztime "$FUZZTIME"
+go test ./internal/pageheap/ -run '^$' -fuzz FuzzRegionMatchesReference -fuzztime "$FUZZTIME"
 
 echo "==> policy registry coverage (every registered policy allocates cleanly)"
 go test ./internal/policy/ -run TestRegistryCoverage -count 1
