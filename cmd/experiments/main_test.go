@@ -30,3 +30,11 @@ func TestRunGolden(t *testing.T) {
 	clitest.Output(t, run, "experiments-fig9", dir, "exp", 0, "-scale", "smoke", "-telemetry", "-heapprof",
 		"-metrics-out", filepath.Join(dir, "exp"), "fig9")
 }
+
+// TestAblationGolden pins the smoke-scale stdout of the three ablations,
+// the only callers that set the list count, the lifetime threshold and
+// the heterogeneous front-end's capacity outside the policy registry.
+func TestAblationGolden(t *testing.T) {
+	clitest.Output(t, run, "experiments-ablations", t.TempDir(), "exp", 0,
+		"-scale", "smoke", "ablation-l", "ablation-c", "ablation-capacity")
+}
