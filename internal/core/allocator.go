@@ -122,7 +122,7 @@ func New(cfg Config, topo *topology.Topology) *Allocator {
 		a.cfls[i] = centralfreelist.New(a.table.Class(i), cfg.CFL, a.heap, a.pagemap)
 	}
 	tcfg := cfg.Transfer
-	if tcfg.ResolvedPlacement().UsesDomains() {
+	if tcfg.Placement.UsesDomains() {
 		tcfg.NumDomains = topo.NumDomains()
 	}
 	a.transfer = transfercache.New(tcfg, n, func(c int) int { return a.table.Class(c).Size },

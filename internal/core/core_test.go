@@ -4,9 +4,12 @@ import (
 	"math"
 	"testing"
 
+	"wsmalloc/internal/centralfreelist"
+	"wsmalloc/internal/percpu"
 	"wsmalloc/internal/rng"
 	"wsmalloc/internal/sizeclass"
 	"wsmalloc/internal/topology"
+	"wsmalloc/internal/transfercache"
 )
 
 func newAlloc(cfg Config) *Allocator {
@@ -298,15 +301,15 @@ func TestWithFeatureToggles(t *testing.T) {
 		c := base.WithFeature(f)
 		switch f {
 		case FeatureHeterogeneousPerCPU:
-			if !c.PerCPU.Heterogeneous {
+			if c.PerCPU.Resizer != percpu.ResizerSteal {
 				t.Errorf("%v not enabled", f)
 			}
 		case FeatureNUCATransferCache:
-			if !c.Transfer.NUCAAware {
+			if c.Transfer.Placement != transfercache.PlacementNUCA {
 				t.Errorf("%v not enabled", f)
 			}
 		case FeatureSpanPrioritization:
-			if !c.CFL.Prioritize {
+			if c.CFL.Selector != centralfreelist.SelectorPrioritized {
 				t.Errorf("%v not enabled", f)
 			}
 		case FeatureLifetimeAwareFiller:

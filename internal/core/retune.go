@@ -5,9 +5,9 @@ import (
 )
 
 // ApplyDesignPoint retunes a live allocator to a new design point: each
-// tier's Swap protocol re-derives its policy and cached fast-path state
-// (monomorphized dispatch kinds, capacity tables, occupancy-list
-// geometry) from the new tier configuration, draining cached objects
+// tier's Swap protocol re-derives its construction-time state (cache
+// capacities, NUCA domain caches, occupancy-list geometry, lifetime
+// prediction) from the new tier configuration, draining cached objects
 // downward — front-end to transfer caches, transfer caches to the
 // central free lists — so no object is stranded under stale geometry.
 // The swap order follows the drain direction: front, transfer, central
@@ -24,7 +24,7 @@ func (a *Allocator) ApplyDesignPoint(d policy.DesignPoint) error {
 		return err
 	}
 	tcfg := t.Transfer
-	if tcfg.ResolvedPlacement().UsesDomains() {
+	if tcfg.Placement.UsesDomains() {
 		tcfg.NumDomains = a.topo.NumDomains()
 	}
 	a.front.Swap(t.PerCPU)

@@ -24,7 +24,7 @@ type Config struct {
 }
 
 // DefaultConfig returns the baseline configuration (lifetime-aware filler
-// off, 256 MiB hugepage cache).
+// off, 1 GiB hugepage cache).
 func DefaultConfig() Config {
 	return Config{MaxHugeCacheBytes: 1 << 30, SubreleaseDensityLimit: 0.7}
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"wsmalloc/internal/pageheap"
 	"wsmalloc/internal/policy"
 )
 
@@ -112,7 +113,7 @@ func TestTiersApplyOrderFillerLast(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tc.CFL.Classifier == nil {
+		if tc.CFL.Classifier != pageheap.ClassifierFeedback {
 			t.Fatalf("%q: heapprof classifier lost during tier apply", in)
 		}
 		if !tc.PageHeap.LifetimeAware {

@@ -1,9 +1,9 @@
 // Package policy is the design-point registry behind the simulator's
 // pluggable allocator architecture: every per-tier decision policy —
 // front-end capacity resizing (percpu.Resizer), middle-tier routing
-// (transfercache.Placement), span selection (centralfreelist.
-// SpanSelector), and span lifetime classification (pageheap.
-// LifetimeClassifier) — is registered here by name, and a serializable
+// (transfercache.Placement), span selection (centralfreelist.Selector),
+// and span lifetime classification (pageheap.Classifier), each a closed
+// enum in its tier — is registered here by name, and a serializable
 // DesignPoint ("percpu=hetero,tc=nuca,cfl=prio8,filler=capacity")
 // selects one policy per tier and builds the tier configurations for a
 // core.Config. The paper's 2^4 feature grid is the cross-product of the
@@ -148,7 +148,7 @@ func init() {
 		Apply: func(t *TierConfigs) {
 			t.PerCPU = percpu.StaticConfig()
 			t.PerCPU.CapacityBytes = 3 << 19 // same halved budget as hetero
-			t.PerCPU.Resizer = percpu.EWMAResizer{}
+			t.PerCPU.Resizer = percpu.ResizerEWMA
 		}})
 
 	// tc: middle-tier routing policies (§4.2).
@@ -157,13 +157,10 @@ func init() {
 		Apply: func(t *TierConfigs) { t.Transfer = transfercache.DefaultConfig() }})
 	Register(Policy{Tier: TierTC, Name: "nuca",
 		Desc:  "per-LLC-domain caches over the shared fallback (paper §4.2)",
-		Apply: func(t *TierConfigs) { t.Transfer.NUCAAware = true }})
+		Apply: func(t *TierConfigs) { t.Transfer.Placement = transfercache.PlacementNUCA }})
 	Register(Policy{Tier: TierTC, Name: "pressure",
-		Desc: "NUCA with overflow frees biased to the least-full sibling domain (new)",
-		Apply: func(t *TierConfigs) {
-			t.Transfer.NUCAAware = false
-			t.Transfer.Placement = transfercache.PressurePlacement{}
-		}})
+		Desc:  "NUCA with overflow frees biased to the least-full sibling domain (new)",
+		Apply: func(t *TierConfigs) { t.Transfer.Placement = transfercache.PlacementPressure }})
 
 	// cfl: span-selection policies (§4.3).
 	Register(Policy{Tier: TierCFL, Name: "legacy",
@@ -176,7 +173,7 @@ func init() {
 		Desc: "occupancy lists with lowest-address span within the fullest bucket (new)",
 		Apply: func(t *TierConfigs) {
 			t.CFL = centralfreelist.DefaultConfig()
-			t.CFL.Selector = centralfreelist.BestFitSelector{NumLists: t.CFL.NumLists}
+			t.CFL.Selector = centralfreelist.SelectorBestFit
 		}})
 
 	// filler: span lifetime classification for the hugepage filler
@@ -192,6 +189,6 @@ func init() {
 		Desc: "lifetime-aware filler steered by sampled heap-profile lifetime decades (new)",
 		Apply: func(t *TierConfigs) {
 			t.PageHeap.LifetimeAware = true
-			t.CFL.Classifier = pageheap.FeedbackClassifier{}
+			t.CFL.Classifier = pageheap.ClassifierFeedback
 		}})
 }

@@ -1,94 +1,40 @@
 package transfercache
 
-// Placement is the middle-tier routing policy: it decides which domain
-// cache (if any) an allocation consults before the legacy cache, and
-// where a free lands before spilling to the legacy cache and the backing
-// tier. Implementations must be stateless value types — core.Config is
-// copied freely across fleet arms and goroutines.
-type Placement interface {
-	// UsesDomains reports whether per-domain caches exist at all; when
-	// false the layer builds only the centralized legacy cache.
-	UsesDomains() bool
-	// AllocFrom returns the domain-cache index an allocation from the
-	// given LLC domain tries before the legacy cache, or -1 for none.
-	AllocFrom(t *TransferCaches, class, domain int) int
-	// FreeTo returns the domain-cache index a free from the given LLC
-	// domain fills first, or -1 for none.
-	FreeTo(t *TransferCaches, class, domain int) int
-	// FreeOverflow returns a second domain cache to absorb objects that
-	// did not fit in the FreeTo cache, or -1 to spill straight to the
-	// legacy cache.
-	FreeOverflow(t *TransferCaches, class, domain int) int
-}
+// Placement selects the middle-tier routing policy: which domain cache
+// (if any) an allocation consults before the legacy cache, and where a
+// free lands before spilling to the legacy cache and the backing tier.
+// The zero value is the legacy centralized layout.
+type Placement uint8
 
-// resolvePlacement maps a config to its effective policy: an explicit
-// Placement wins, otherwise the legacy NUCAAware boolean selects the
-// built-in NUCA policy, otherwise the cache is centralized.
-func resolvePlacement(cfg Config) Placement {
-	if cfg.Placement != nil {
-		return cfg.Placement
-	}
-	if cfg.NUCAAware {
-		return NUCAPlacement{}
-	}
-	return CentralizedPlacement{}
-}
+const (
+	// PlacementCentral is the legacy layout: one shared transfer cache,
+	// no per-domain caches.
+	PlacementCentral Placement = iota
+	// PlacementNUCA is the paper's §4.2 policy: each LLC domain gets its
+	// own cache, consulted first on both allocation and free, with the
+	// legacy cache as the shared fallback.
+	PlacementNUCA
+	// PlacementPressure is the domain-pressure-biased variant of NUCA:
+	// allocations and first-choice frees behave like PlacementNUCA, but
+	// frees that overflow their home domain spill into the least-full
+	// sibling domain cache (for that size class) before falling back to
+	// the shared legacy cache. Under an imbalanced producer/consumer
+	// split this keeps objects in *some* domain cache — one cross-domain
+	// transfer still beats a cold DRAM fetch — at the cost of more
+	// inter-domain reuse.
+	PlacementPressure
+)
 
-// CentralizedPlacement is the legacy layout: one shared transfer cache,
-// no per-domain caches.
-type CentralizedPlacement struct{}
+// UsesDomains reports whether the policy keeps per-domain caches; when
+// false the layer builds only the centralized legacy cache (core.New
+// asks it whether NumDomains must be filled from the machine topology).
+func (p Placement) UsesDomains() bool { return p != PlacementCentral }
 
-// UsesDomains implements Placement.
-func (CentralizedPlacement) UsesDomains() bool { return false }
-
-// AllocFrom implements Placement.
-func (CentralizedPlacement) AllocFrom(*TransferCaches, int, int) int { return -1 }
-
-// FreeTo implements Placement.
-func (CentralizedPlacement) FreeTo(*TransferCaches, int, int) int { return -1 }
-
-// FreeOverflow implements Placement.
-func (CentralizedPlacement) FreeOverflow(*TransferCaches, int, int) int { return -1 }
-
-// NUCAPlacement is the paper's §4.2 policy: each LLC domain gets its own
-// cache, consulted first on both allocation and free, with the legacy
-// cache as the shared fallback.
-type NUCAPlacement struct{}
-
-// UsesDomains implements Placement.
-func (NUCAPlacement) UsesDomains() bool { return true }
-
-// AllocFrom implements Placement.
-func (NUCAPlacement) AllocFrom(t *TransferCaches, class, domain int) int { return domain }
-
-// FreeTo implements Placement.
-func (NUCAPlacement) FreeTo(t *TransferCaches, class, domain int) int { return domain }
-
-// FreeOverflow implements Placement.
-func (NUCAPlacement) FreeOverflow(*TransferCaches, int, int) int { return -1 }
-
-// PressurePlacement is the domain-pressure-biased variant of the NUCA
-// policy: allocations and first-choice frees behave like NUCAPlacement,
-// but frees that overflow their home domain spill into the least-full
-// sibling domain cache (for that size class) before falling back to the
-// shared legacy cache. Under an imbalanced producer/consumer split this
-// keeps objects in *some* domain cache — one cross-domain transfer still
-// beats a cold DRAM fetch — at the cost of more inter-domain reuse.
-type PressurePlacement struct{}
-
-// UsesDomains implements Placement.
-func (PressurePlacement) UsesDomains() bool { return true }
-
-// AllocFrom implements Placement.
-func (PressurePlacement) AllocFrom(t *TransferCaches, class, domain int) int { return domain }
-
-// FreeTo implements Placement.
-func (PressurePlacement) FreeTo(t *TransferCaches, class, domain int) int { return domain }
-
-// FreeOverflow implements Placement: the sibling domain whose cache for
-// this class has the most free room (ties to the lowest domain index,
-// deterministically), or -1 when every sibling is full.
-func (PressurePlacement) FreeOverflow(t *TransferCaches, class, domain int) int {
+// pressureOverflow returns PlacementPressure's overflow target: the
+// sibling domain whose cache for this class has the most free room (ties
+// to the lowest domain index, deterministically), or -1 when every
+// sibling is full.
+func (t *TransferCaches) pressureOverflow(class, domain int) int {
 	best, bestRoom := -1, 0
 	for d := range t.domains {
 		if d == domain {
