@@ -10,13 +10,14 @@ package wsmalloc_test
 // design points run every registered policy of every tier, so each
 // case of each tier's policy switch is pinned.
 //
-// Regenerate goldens (only when an intentional behaviour change lands):
+// Regenerate goldens (only when an intentional behaviour change lands)
+// with the repository's one golden switch, the same one the fleet and
+// CLI goldens use:
 //
-//	go test -run TestHotPathGoldenEquivalence -update ./...
+//	WSMALLOC_UPDATE_GOLDEN=1 go test -run TestHotPathGoldenEquivalence .
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -24,8 +25,6 @@ import (
 
 	"wsmalloc"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden files")
 
 var goldenSeeds = []uint64{1, 2, 3}
 
@@ -146,11 +145,11 @@ func designspaceExport(t testing.TB, seed uint64) []byte {
 func goldenPath(name string) string { return filepath.Join("testdata", "golden", name) }
 
 // checkGolden compares got against the committed golden (or rewrites it
-// under -update).
+// when WSMALLOC_UPDATE_GOLDEN is set).
 func checkGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
 	path := goldenPath(name)
-	if *updateGolden {
+	if os.Getenv("WSMALLOC_UPDATE_GOLDEN") != "" {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +160,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("missing golden %s (run with -update to capture): %v", path, err)
+		t.Fatalf("missing golden %s (capture with WSMALLOC_UPDATE_GOLDEN=1): %v", path, err)
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("%s: export differs from golden (%d bytes got, %d want); first divergence at byte %d",

@@ -25,6 +25,11 @@ func (l *List) decodeSpanList(d *snapshot.Decoder, dst *span.List) {
 			}
 			return
 		}
+		if s.ClassIndex != l.class.Index || s.Pages != l.class.Pages || s.ObjSize != l.class.Size {
+			d.Fail("centralfreelist: class %d span %d has the geometry of class %d (%d pages, %d-byte objects)",
+				l.class.Index, i, s.ClassIndex, s.Pages, s.ObjSize)
+			return
+		}
 		dst.PushBack(s)
 		l.pm.SetRange(s.Start, s.Pages, s)
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"wsmalloc/internal/check"
 	"wsmalloc/internal/mem"
 )
@@ -84,4 +86,15 @@ func (a *Allocator) CheckInvariants() []check.Violation {
 		vs = append(vs, a.shadow.Violations()...)
 	}
 	return vs
+}
+
+// CheckRestored audits an allocator just overlaid from a checkpoint. A
+// blob that decodes cleanly but describes a heap failing CheckInvariants
+// is as unusable as one that does not decode: resuming it would carry
+// the corruption into the run, so resume paths refuse it.
+func (a *Allocator) CheckRestored() error {
+	if vs := a.CheckInvariants(); len(vs) > 0 {
+		return fmt.Errorf("core: restored state fails %d invariant checks, first: %s", len(vs), vs[0])
+	}
+	return nil
 }

@@ -166,6 +166,10 @@ func (a *Allocator) DecodeState(d *snapshot.Decoder) error {
 			d.Fail("core: span at %#x in large table has class %d", s.Start.Addr(), s.ClassIndex)
 			break
 		}
+		if !a.os.Holds(s.Start, s.Pages) {
+			d.Fail("core: large span at %#x (%d pages) is not in mapped memory", s.Start.Addr(), s.Pages)
+			break
+		}
 		a.pagemap.SetRange(s.Start, s.Pages, s)
 	}
 

@@ -163,7 +163,10 @@ func (d *Daemon) decodeMachine(blob []byte, ms *machine) error {
 	if err := ms.drv.DecodeState(dec); err != nil {
 		return err
 	}
-	return dec.Err()
+	if err := dec.Err(); err != nil {
+		return err
+	}
+	return ms.alloc.CheckRestored()
 }
 
 // restore loads the manifest and every machine blob written by

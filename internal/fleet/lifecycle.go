@@ -190,7 +190,10 @@ func decodeMachineCheckpoint(blob []byte, fp string, ac *runAccum, pendingChurn 
 	if err := a.DecodeState(dec); err != nil {
 		return err
 	}
-	return d.DecodeState(dec)
+	if err := d.DecodeState(dec); err != nil {
+		return err
+	}
+	return a.CheckRestored()
 }
 
 // writeFileAtomic writes via a temp file + rename so a crash mid-write

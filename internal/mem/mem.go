@@ -226,6 +226,25 @@ func (o *OS) IsMapped(h HugePageID) bool {
 	return ok
 }
 
+// Holds reports whether every page of the n-page run starting at p lies
+// in a currently mapped hugepage: a live span always does, so decoders
+// use it to refuse one that no allocation could have produced.
+func (o *OS) Holds(p PageID, n int) bool {
+	if n <= 0 || !InAddressSpace(p, n) {
+		return false
+	}
+	first, last := p.HugePage(), (p + PageID(n-1)).HugePage()
+	if uint64(last-first) >= uint64(len(o.mapped)) {
+		return false
+	}
+	for h := first; h <= last; h++ {
+		if _, ok := o.mapped[h]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // IsIntact reports whether h is mapped and still hugepage-backed.
 func (o *OS) IsIntact(h HugePageID) bool {
 	st, ok := o.mapped[h]

@@ -40,6 +40,14 @@ func NewPageMap[T any]() *PageMap[T] {
 	return &PageMap[T]{root: make([]*pmMid[T], pmRootSize)}
 }
 
+// InAddressSpace reports whether the n pages starting at p all lie in
+// the simulated address space the pagemap covers. Decoders use it to
+// refuse a span that no pagemap could hold.
+func InAddressSpace(p PageID, n int) bool {
+	const limit = uint64(1) << pmPageBits
+	return n >= 0 && uint64(p) < limit && uint64(n) <= limit-uint64(p)
+}
+
 func pmIndices(p PageID) (int, int, int) {
 	if uint64(p) >= 1<<pmPageBits {
 		panic("mem: page id outside simulated address space")

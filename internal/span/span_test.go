@@ -6,6 +6,7 @@ import (
 
 	"wsmalloc/internal/mem"
 	"wsmalloc/internal/rng"
+	"wsmalloc/internal/snapshot"
 )
 
 func newTestSpan(capacity int) *Span {
@@ -325,4 +326,30 @@ func TestRecycleRejectsLiveSpan(t *testing.T) {
 		}
 	}()
 	s.Recycle(s.Start)
+}
+
+// TestDecodeRejectsSpanOutsideAddressSpace: a blob naming a span whose
+// pages run past the simulated address space decodes to nil, so no
+// pagemap is ever asked to index it.
+func TestDecodeRejectsSpanOutsideAddressSpace(t *testing.T) {
+	for _, tc := range []struct {
+		start mem.PageID
+		pages int
+		ok    bool
+	}{
+		{1 << 20, 4, true},
+		{1<<35 - 4, 4, true},
+		{1<<35 - 3, 4, false},
+		{1 << 40, 1, false},
+	} {
+		e := snapshot.NewEncoder()
+		New(tc.start, tc.pages, 1, 64, 64).EncodeState(e)
+		d, err := snapshot.NewDecoder(e.Finish())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := DecodeState(d) != nil; got != tc.ok {
+			t.Errorf("span at page %#x, %d pages: decoded=%v, want %v", tc.start, tc.pages, got, tc.ok)
+		}
+	}
 }

@@ -43,7 +43,8 @@ func DecodeState(d *snapshot.Decoder) *Span {
 	}
 	if s.Pages <= 0 || s.ObjSize <= 0 || s.capacity <= 0 ||
 		s.live < 0 || s.live > s.capacity ||
-		n != (s.capacity+63)/64 || s.hint < 0 || s.hint >= n {
+		n != (s.capacity+63)/64 || s.hint < 0 || s.hint >= n ||
+		!mem.InAddressSpace(mem.PageID(start), s.Pages) {
 		return nil
 	}
 	s.Start = mem.PageID(start)

@@ -7,7 +7,8 @@
 # determinism-equivalence tests, and the heap-profiler tests), a short
 # fuzz smoke on the fuzz targets (size classes, alloc/free, the profdiff
 # parser, the profile-warehouse codec, the checkpoint snapshot codec, the
-# HugeRegion placement against its bit-at-a-time reference), a
+# HugeRegion placement against its bit-at-a-time reference, the fleet and
+# daemon machine-checkpoint decoders), a
 # benchmark regression smoke (cmd/benchgate gates the fleet
 # A/B, nil-sink telemetry, hot-loop, and daemon-tick throughput against
 # the committed bench_smoke baseline in BENCH_fleet.json, failing on a
@@ -69,6 +70,10 @@ go test ./internal/gwp/ -run '^$' -fuzz FuzzWindowDecode -fuzztime "$FUZZTIME"
 go test ./internal/snapshot/ -run '^$' -fuzz FuzzDecode -fuzztime "$FUZZTIME"
 go test ./internal/snapshot/ -run '^$' -fuzz FuzzRoundTrip -fuzztime "$FUZZTIME"
 go test ./internal/pageheap/ -run '^$' -fuzz FuzzRegionMatchesReference -fuzztime "$FUZZTIME"
+# Machine checkpoints are ~1 MB, so each new input's minimization is
+# capped at 10 runs to leave the smoke time for fuzzing.
+go test ./internal/fleet/ -run '^$' -fuzz FuzzCheckpointDecode -fuzztime "$FUZZTIME" -fuzzminimizetime 10x
+go test ./internal/daemon/ -run '^$' -fuzz FuzzCheckpointDecode -fuzztime "$FUZZTIME" -fuzzminimizetime 10x
 
 echo "==> policy registry coverage (every registered policy allocates cleanly)"
 go test ./internal/policy/ -run TestRegistryCoverage -count 1
