@@ -110,6 +110,130 @@ type ExpDist struct{ Mean float64 }
 // Sample implements Dist.
 func (d ExpDist) Sample(r *RNG) float64 { return d.Mean * r.ExpFloat64() }
 
+// A LogDraw is one value X drawn in log space: Log is ln X. A draw that
+// landed on an exactly known value — a clamp bound or a constant —
+// carries that value too, so Value returns it bit for bit instead of
+// exp(ln X), and an atom at a clamp stays exactly where it was.
+type LogDraw struct {
+	Log   float64
+	exact float64 // X when known exactly, else 0
+}
+
+// LogOf returns the draw of the known value v; Log is -Inf for v <= 0.
+func LogOf(v float64) LogDraw {
+	if v <= 0 {
+		return LogDraw{Log: math.Inf(-1), exact: v}
+	}
+	return LogDraw{Log: math.Log(v), exact: v}
+}
+
+// Value returns X.
+func (d LogDraw) Value() float64 {
+	if d.exact != 0 {
+		return d.exact
+	}
+	return math.Exp(d.Log)
+}
+
+// LogDist is a Dist that can also draw in log space, where a caller that
+// transforms the logarithm (a power law is a multiply there) skips the
+// Exp and Log pair a linear draw would cost.
+type LogDist interface {
+	Dist
+	SampleLog(r *RNG) LogDraw
+}
+
+// Compile returns d ready to draw in both spaces. A *Mixture is
+// returned as it is: NewMixture compiled its branches. Any other Dist is
+// compiled here, so callers that draw from it repeatedly should compile
+// it once.
+func Compile(d Dist) LogDist {
+	if m, ok := d.(*Mixture); ok {
+		return m
+	}
+	b := compile(d)
+	return &b
+}
+
+// branchKind names the distributions a branch resolves to parameters.
+type branchKind uint8
+
+const (
+	branchOther branchKind = iota
+	branchLogNormal
+	branchPareto
+	branchConstant
+)
+
+// branch is one distribution compiled for draws in log space: the kinds
+// the profiles are built from are resolved to parameters with their
+// logarithms precomputed, and any other Dist is drawn through its
+// interface. A linear draw is the Dist's own Sample. Both draw the same
+// variates from the generator, so a caller may switch between them
+// without moving the stream.
+type branch struct {
+	kind branchKind
+	// a and b are ln X = a + b·N for a log-normal (μ, σ), a + b·E for a
+	// Pareto (ln xm, 1/α), and a for a constant (ln v, with v in min).
+	a, b float64
+	// lo and hi clamp ln X (±Inf when unset); min and max are the values
+	// they stand for.
+	lo, hi   float64
+	min, max float64
+	dist     Dist
+}
+
+func compile(d Dist) branch {
+	b := branch{kind: branchOther, lo: math.Inf(-1), hi: math.Inf(1), dist: d}
+	switch d := d.(type) {
+	case LogNormalDist:
+		b.kind, b.a, b.b = branchLogNormal, d.Mu, d.Sigma
+		if d.Min != 0 {
+			b.lo, b.min = math.Log(d.Min), d.Min
+		}
+		if d.Max != 0 {
+			b.hi, b.max = math.Log(d.Max), d.Max
+		}
+	case ParetoDist:
+		b.kind, b.a, b.b = branchPareto, math.Log(d.Xm), 1/d.Alpha
+		if d.Max > 0 {
+			b.hi, b.max = math.Log(d.Max), d.Max
+		}
+	case Constant:
+		c := LogOf(float64(d))
+		b.kind, b.a, b.min = branchConstant, c.Log, c.exact
+	}
+	return b
+}
+
+// SampleLog implements LogDist.
+func (b *branch) SampleLog(r *RNG) LogDraw {
+	var l float64
+	switch b.kind {
+	case branchLogNormal:
+		l = b.a + b.b*r.NormFloat64()
+	case branchPareto:
+		l = b.a + b.b*r.ExpFloat64()
+	case branchConstant:
+		return LogDraw{Log: b.a, exact: b.min}
+	default:
+		if ld, ok := b.dist.(LogDist); ok {
+			return ld.SampleLog(r)
+		}
+		return LogOf(b.dist.Sample(r))
+	}
+	if l < b.lo {
+		return LogDraw{Log: b.lo, exact: b.min}
+	}
+	if l > b.hi {
+		return LogDraw{Log: b.hi, exact: b.max}
+	}
+	return LogDraw{Log: l}
+}
+
+// Sample implements Dist.
+func (b *branch) Sample(r *RNG) float64 { return b.dist.Sample(r) }
+
 // Component is one branch of a Mixture.
 type Component struct {
 	Weight float64
@@ -118,10 +242,11 @@ type Component struct {
 
 // Mixture is a weighted mixture of distributions. The fleet object-size
 // distribution (Fig. 7) and the per-size-band lifetime distributions
-// (Fig. 8) are modeled as mixtures.
+// (Fig. 8) are modeled as mixtures. NewMixture compiles each branch
+// once, so a draw can stay in log space (SampleLog).
 type Mixture struct {
-	components []Component
-	cdf        []float64
+	cdf      []float64
+	branches []branch
 }
 
 // NewMixture builds a mixture; weights are normalized and must sum to a
@@ -140,24 +265,33 @@ func NewMixture(components ...Component) *Mixture {
 	if total <= 0 {
 		panic("rng: mixture weights sum to zero")
 	}
-	m := &Mixture{components: components, cdf: make([]float64, len(components))}
+	m := &Mixture{
+		cdf:      make([]float64, len(components)),
+		branches: make([]branch, len(components)),
+	}
 	acc := 0.0
 	for i, c := range components {
 		acc += c.Weight / total
 		m.cdf[i] = acc
+		m.branches[i] = compile(c.Dist)
 	}
 	return m
 }
 
-// Sample implements Dist.
-func (m *Mixture) Sample(r *RNG) float64 {
-	u := r.Float64()
-	i := searchCDF(m.cdf, u)
-	if i >= len(m.components) {
-		i = len(m.components) - 1
+// pick draws the branch of the next value.
+func (m *Mixture) pick(r *RNG) *branch {
+	i := searchCDF(m.cdf, r.Float64())
+	if i >= len(m.branches) {
+		i = len(m.branches) - 1
 	}
-	return m.components[i].Dist.Sample(r)
+	return &m.branches[i]
 }
+
+// Sample implements Dist.
+func (m *Mixture) Sample(r *RNG) float64 { return m.pick(r).Sample(r) }
+
+// SampleLog implements LogDist: it draws exactly what Sample draws.
+func (m *Mixture) SampleLog(r *RNG) LogDraw { return m.pick(r).SampleLog(r) }
 
 // searchCDF returns the smallest index i with cdf[i] >= u, exactly as
 // sort.SearchFloat64s does. Mixture and Discrete CDFs are a handful of
@@ -177,10 +311,10 @@ func searchCDF(cdf []float64, u float64) int {
 
 // Components returns the mixture branches (normalized weights).
 func (m *Mixture) Components() []Component {
-	out := make([]Component, len(m.components))
+	out := make([]Component, len(m.branches))
 	prev := 0.0
-	for i, c := range m.components {
-		out[i] = Component{Weight: m.cdf[i] - prev, Dist: c.Dist}
+	for i, b := range m.branches {
+		out[i] = Component{Weight: m.cdf[i] - prev, Dist: b.dist}
 		prev = m.cdf[i]
 	}
 	return out

@@ -35,7 +35,11 @@ type LifetimeModel struct {
 	Bands []LifetimeBand
 }
 
-// Sample draws a lifetime in nanoseconds for an object of the given size.
+// Sample draws a lifetime in nanoseconds for an object of the given
+// size: the unwarped lifetime the workload driver warps. The driver
+// draws it in log space (see Driver), which takes the same variates as
+// this linear draw, so the Fig. 8 views and replays of a driver run stay
+// in step with the driver's stream.
 func (m LifetimeModel) Sample(r *rng.RNG, size int) int64 {
 	for _, b := range m.Bands {
 		if size <= b.MaxSize {
